@@ -11,7 +11,7 @@ this module is the single shared implementation.
 
 Chunk boundaries are deterministic functions of the weights alone —
 never of worker counts or timing — which is what keeps pair sets and
-overlap-test totals bit-identical across executors and backends.
+overlap-test totals bit-identical across executors.
 """
 
 from __future__ import annotations

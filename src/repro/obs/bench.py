@@ -8,10 +8,10 @@ and the environment that produced them.  The schema is versioned;
 :func:`validate_bench` is what CI runs against the freshly produced
 document and what the test suite runs against a smoke run.
 
-Document shape (``BENCH_SCHEMA_VERSION`` 5)::
+Document shape (``BENCH_SCHEMA_VERSION`` 6)::
 
     {
-      "schema_version": 5,
+      "schema_version": 6,
       "kind": "bench_steps",
       "environment": {"python": ..., "numpy": ..., "platform": ...,
                        "cpu_count": ...},
@@ -19,8 +19,7 @@ Document shape (``BENCH_SCHEMA_VERSION`` 5)::
       "runs": [
         {
           "workload": "uniform", "algorithm": "thermal-join",
-          "executor": "serial", "kernel_backend": "numpy",
-          "checkpoint_every": 0,
+          "executor": "serial", "checkpoint_every": 0,
           "n_objects": 5000, "n_steps": 6,
           "steps": [ {step record}, ... ],   # one per simulated step
           "aggregates": {"total_seconds": ..., "total_overlap_tests": ...,
@@ -41,11 +40,9 @@ counters (mode, moved fraction, pairs reused/re-verified, fallback
 count) surfaced by algorithms that maintain their result across steps;
 ``{}`` for algorithms without the provider.
 
-Schema version 3 adds the run-level ``kernel_backend`` key: the resolved
-verify-kernel backend (:mod:`repro.geometry.kernels`, selected via
-``REPRO_KERNELS``) the run executed with — the dimension the scaling
-section of the bench matrix sweeps to record step time versus object
-count per backend.
+Schema version 3 adds the ``uniform-scale`` section, which records
+step time versus object count, together with a run-level
+verify-kernel-backend column (dropped again in version 6).
 
 Schema version 4 adds the run-level ``checkpoint_every`` key: the
 durable-checkpoint cadence the run executed with (``0`` when
@@ -62,6 +59,11 @@ sharded async service over the uniform trajectory, asserts its answers
 are bit-identical to direct library calls (including across an
 injected shard kill), and records the per-epoch series through
 :meth:`~repro.service.ShardRing.epoch_record`.
+
+Schema version 6 drops the run-level kernel-backend column: the verify
+kernels (:mod:`repro.geometry.kernels`) are plain numpy functions with
+no backend choice, so the column had one possible value.  The
+``uniform-scale`` runs sweep object count only.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ __all__ = [
     "validate_bench",
 ]
 
-BENCH_SCHEMA_VERSION = 5
+BENCH_SCHEMA_VERSION = 6
 
 #: Required keys of one per-step record.
 STEP_FIELDS = (
@@ -106,7 +108,6 @@ RUN_FIELDS = (
     "workload",
     "algorithm",
     "executor",
-    "kernel_backend",
     "checkpoint_every",
     "n_objects",
     "n_steps",

@@ -9,7 +9,7 @@ from repro.core.celljoin import (
     join_cell_pairs_batched,
     join_sorted_lists,
 )
-from repro.geometry.kernels.numpy_backend import _bisect_runs
+from repro.geometry.kernels import _bisect_runs
 from repro.geometry import (
     PairAccumulator,
     all_combinations,
