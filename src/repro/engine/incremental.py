@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.geometry import PairAccumulator
+from repro.geometry import PairAccumulator, sorted_unique
 
 if TYPE_CHECKING:
     from repro.datasets import SpatialDataset
@@ -77,7 +77,7 @@ def moved_groups(delta: MotionDelta, assignment: np.ndarray) -> np.ndarray:
             f"assignment maps {assignment.shape} objects but the delta "
             f"describes {delta.n_objects}"
         )
-    return np.unique(assignment[delta.moved])
+    return sorted_unique(assignment[delta.moved])
 
 
 @dataclass

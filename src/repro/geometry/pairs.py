@@ -9,7 +9,9 @@ tests.
 
 Pairs are canonicalised as ``i < j`` over the objects' positional indices
 in the dataset and, where a single array is convenient, packed into an
-``int64`` key ``i * n + j``.
+``int64`` key ``i * n + j``.  Key sets are deduplicated by
+:func:`sorted_unique` (sort plus adjacent-difference mask), which returns
+what ``np.unique`` does without numpy's hash-table path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "canonicalize_pairs",
     "pack_pairs",
     "unpack_pairs",
+    "sorted_unique",
     "unique_pairs",
     "pairs_equal",
     "PairAccumulator",
@@ -65,17 +68,31 @@ def unpack_pairs(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return keys // np.int64(n), keys % np.int64(n)
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a flat integer array, as ``np.unique`` gives.
+
+    Since numpy 2.3 a plain ``np.unique`` on an integer array builds a
+    hash table and sorts the survivors afterwards, which is tens of
+    times slower than sorting first and keeping each run's first
+    element.  The input's dtype is kept, like ``np.unique``.
+    """
+    keys = np.sort(np.asarray(keys).ravel())
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def unique_pairs(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonicalise, deduplicate and sort pairs; returns ``(i, j)`` arrays."""
     lo, hi = canonicalize_pairs(i_idx, j_idx)
-    keys = np.unique(pack_pairs(lo, hi, n))
+    keys = sorted_unique(pack_pairs(lo, hi, n))
     return unpack_pairs(keys, n)
 
 
 def pairs_equal(pairs_a: tuple[np.ndarray, np.ndarray], pairs_b: tuple[np.ndarray, np.ndarray], n: int) -> bool:
     """Set equality of two pair collections given as ``(i, j)`` tuples."""
-    keys_a = np.unique(pack_pairs(*canonicalize_pairs(*pairs_a), n))
-    keys_b = np.unique(pack_pairs(*canonicalize_pairs(*pairs_b), n))
+    keys_a = sorted_unique(pack_pairs(*canonicalize_pairs(*pairs_a), n))
+    keys_b = sorted_unique(pack_pairs(*canonicalize_pairs(*pairs_b), n))
     return keys_a.shape == keys_b.shape and bool(np.array_equal(keys_a, keys_b))
 
 
@@ -195,7 +212,7 @@ class MaintainedPairSet:
             raise ValueError(f"n must be positive, got {n}")
         self.n = int(n)
         lo, hi = canonicalize_pairs(i_idx, j_idx)
-        self._keys = np.unique(pack_pairs(lo, hi, self.n))
+        self._keys = sorted_unique(pack_pairs(lo, hi, self.n))
 
     @classmethod
     def from_packed(cls, n: int, keys: np.ndarray) -> MaintainedPairSet:
@@ -253,7 +270,7 @@ class MaintainedPairSet:
         so emitting the same pair from two verify tasks is harmless.
         """
         lo, hi = canonicalize_pairs(i_idx, j_idx)
-        fresh = np.unique(pack_pairs(lo, hi, self.n))
+        fresh = sorted_unique(pack_pairs(lo, hi, self.n))
         # Both sides are sorted, so merge by insertion position instead
         # of re-sorting the whole key set (union1d would): O(P + k log P)
         # for k fresh keys against P maintained ones.

@@ -187,10 +187,9 @@ class LooseOctreeJoin(SpatialJoinAlgorithm):
                 at_occupied = level["occ_keys"][occ_slots] == visited_keys
                 if at_occupied.any():
                     q_ids = queries[at_occupied]
-                    q_groups_cat, q_starts, q_stops, _keys = group_by_keys(
+                    q_groups_cat, q_starts, q_stops, unique_slots = group_by_keys(
                         occ_slots[at_occupied], ids=q_ids
                     )
-                    unique_slots = np.unique(occ_slots[at_occupied])
                     tests += cross_join_groups(
                         lo,
                         hi,

@@ -74,8 +74,10 @@ def validate(
             if got.shape == reference.shape and np.array_equal(got, reference):
                 continue
             ok = False
-            missing = np.setdiff1d(reference, got).size
-            spurious = np.setdiff1d(got, reference).size
+            # Both key arrays are sorted unique (unique_pairs and the
+            # oracle), so setdiff1d can skip its own dedup pass.
+            missing = np.setdiff1d(reference, got, assume_unique=True).size
+            spurious = np.setdiff1d(got, reference, assume_unique=True).size
             log(
                 f"step {step}: MISMATCH {name} vs {reference_name}: "
                 f"{got.size} vs {reference.size} pairs "

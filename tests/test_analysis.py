@@ -207,6 +207,49 @@ class TestValidateCLI:
         assert ok
         assert any("agree" in m for m in messages)
 
+    @pytest.mark.parametrize(
+        ("edit", "report"),
+        [("drop", "(1 missing, 0 spurious)"), ("add", "(0 missing, 1 spurious)")],
+    )
+    def test_one_pair_mismatch_is_counted(self, monkeypatch, edit, report):
+        from types import SimpleNamespace
+
+        from repro.geometry import brute_force_pairs
+        from repro.validate import ALGORITHM_FACTORIES, validate
+
+        class OffByOne:
+            """Oracle pairs with the first pair dropped or a bogus one added."""
+
+            def step(self, dataset):
+                i_idx, j_idx = brute_force_pairs(*dataset.boxes())
+                if edit == "drop":
+                    return SimpleNamespace(pairs=(i_idx[1:], j_idx[1:]))
+                taken = set(zip(i_idx.tolist(), j_idx.tolist(), strict=True))
+                extra = next(
+                    (0, j) for j in range(1, len(dataset)) if (0, j) not in taken
+                )
+                return SimpleNamespace(
+                    pairs=(np.append(i_idx, extra[0]), np.append(j_idx, extra[1]))
+                )
+
+        monkeypatch.setitem(
+            ALGORITHM_FACTORIES, "off-by-one", lambda count_only=True, executor=None: OffByOne()
+        )
+        messages = []
+        ok = validate(
+            workload="uniform",
+            n=300,
+            steps=1,
+            algorithms=["nested-loop", "off-by-one"],
+            use_oracle=False,
+            log=messages.append,
+        )
+        assert not ok
+        mismatches = [m for m in messages if "MISMATCH" in m]
+        assert len(mismatches) == 1
+        assert "off-by-one vs nested-loop" in mismatches[0]
+        assert report in mismatches[0]
+
     def test_unknown_inputs_rejected(self):
         from repro.validate import validate
 

@@ -29,6 +29,7 @@ from repro.engine import faults as faults_module
 from repro.geometry import MaintainedPairSet, brute_force_pairs, pack_pairs
 from repro.geometry.pairs import canonicalize_pairs
 from repro.joins import PlaneSweepJoin
+from repro.service import ShardRing
 from repro.simulation import SimulationRunner
 
 BOUNDS = (np.zeros(3), np.full(3, 140.0))
@@ -438,6 +439,62 @@ class TestMaintainedPairSet:
         maintained = MaintainedPairSet(5, np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
             maintained.remove_incident(np.zeros(4, dtype=bool))
+
+
+class TestNoHashUnique:
+    """Pin: plain ``np.unique`` stays off the maintained-set and service paths.
+
+    Since numpy 2.3 it deduplicates integers through a hash table, tens
+    of times slower than the sort-based ``sorted_unique`` those paths
+    use.  Library calls run with ``np.unique`` raising; the oracle and
+    the comparisons run outside the patch.
+    """
+
+    @staticmethod
+    def _forbid_unique(monkeypatch):
+        def _raise(*args, **kwargs):
+            raise AssertionError("np.unique called on a hot path")
+
+        monkeypatch.setattr(np, "unique", _raise)
+
+    def test_maintained_trajectory(self, monkeypatch):
+        dataset = small_dataset()
+        motion = MOTIONS["intermittent-low"](dataset)
+        algorithm = ThermalJoin(pair_maintenance=True, executor="serial")
+        delta = None
+        modes = []
+        for _ in range(8):
+            with monkeypatch.context() as patch:
+                self._forbid_unique(patch)
+                result = algorithm.step_delta(dataset, delta)
+                modes.append(algorithm._incr["mode"])
+            got = np.sort(pack_pairs(*result.pairs, len(dataset)))
+            assert np.array_equal(got, oracle_keys(dataset))
+            delta = motion.step(dataset)
+        assert modes[0] == "full"
+        assert "incremental" in modes
+
+    def test_shard_ring_queries(self, monkeypatch):
+        dataset = small_dataset()
+        motion = RandomTranslation(dataset, distance=3.0, seed=5)
+        n = len(dataset)
+        with ShardRing(dataset, n_shards=2, executor="serial") as ring:
+            for _ in range(2):
+                with monkeypatch.context() as patch:
+                    self._forbid_unique(patch)
+                    joined = ring.join_pairs()
+                    near = ring.distance_pairs(2.0)
+                assert np.array_equal(
+                    np.sort(pack_pairs(*joined.pairs, n)), oracle_keys(dataset)
+                )
+                assert np.array_equal(
+                    np.sort(pack_pairs(*near.pairs, n)),
+                    oracle_keys(dataset.with_enlarged_extent(2.0)),
+                )
+                motion.step(dataset)
+                with monkeypatch.context() as patch:
+                    self._forbid_unique(patch)
+                    ring.apply_update(dataset.centers)
 
 
 class TestChurnPolicy:

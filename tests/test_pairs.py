@@ -13,6 +13,7 @@ from repro.geometry import (
     mbr,
     pack_pairs,
     pairs_equal,
+    sorted_unique,
     unique_pairs,
     unpack_pairs,
 )
@@ -60,6 +61,42 @@ class TestPacking:
     def test_nonpositive_n_raises(self):
         with pytest.raises(ValueError):
             pack_pairs([0], [0], 0)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [],
+            [7],
+            [4, 4, 4, 4],
+            [0, 1, 1, 2, 5, 5, 9],
+            [9, 5, 5, 2, 1, 1, 0],
+            [3, -2, 3, 0, -2, 11],
+        ],
+        ids=["empty", "single", "all-duplicate", "pre-sorted", "reverse-sorted", "mixed"],
+    )
+    def test_matches_np_unique(self, keys):
+        arr = np.asarray(keys, dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(arr))
+
+    def test_packed_key_bounds(self):
+        # 0 and n*n - 1 are the smallest and largest keys pack_pairs can
+        # produce for modulus n.
+        n = 1000
+        arr = np.array([n * n - 1, 0, 17, n * n - 1, 0], dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.tolist() == [0, 17, n * n - 1]
+        assert np.array_equal(got, np.unique(arr))
+
+    def test_keeps_dtype_and_leaves_input_alone(self):
+        arr = np.array([3, 1, 3, 2], dtype=np.int32)
+        got = sorted_unique(arr)
+        assert got.dtype == np.int32
+        assert got.tolist() == [1, 2, 3]
+        assert arr.tolist() == [3, 1, 3, 2]
 
 
 class TestUniquePairs:

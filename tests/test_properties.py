@@ -20,6 +20,7 @@ from repro.geometry import (
     mbr,
     pack_pairs,
     sort_by_x,
+    sorted_unique,
     sweep_self,
     unique_pairs,
 )
@@ -199,6 +200,21 @@ class TestEncodings:
         ri, rj = unpack_pairs(keys, n)
         assert np.array_equal(ri, i_arr)
         assert np.array_equal(rj, j_arr)
+
+    @given(
+        st.lists(
+            # A narrow band next to the full range so duplicates are common.
+            st.integers(min_value=-4, max_value=4)
+            | st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=100)
+    def test_sorted_unique_matches_np_unique(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(arr))
 
 
 # ----------------------------------------------------------------------
