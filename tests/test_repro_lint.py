@@ -27,16 +27,13 @@ from tools.repro_lint.core import (  # noqa: E402
     PROJECT_RULES,
     RULES,
     Diagnostic,
+    all_rule_codes,
     collect_suppressions,
     lint_file,
     lint_paths,
 )
 
 ALL_CODES = {
-    "RPL001",
-    "RPL002",
-    "RPL003",
-    "RPL101",
     "RPL102",
     "RPL201",
     "RPL202",
@@ -47,13 +44,16 @@ ALL_CODES = {
 }
 
 PROJECT_CODES = {
+    "RPL001",
+    "RPL003",
+    "RPL101",
     "RPL701",
     "RPL702",
-    "RPL801",
-    "RPL802",
-    "RPL901",
     "RPL902",
 }
+
+#: Codes folded into the surviving rule of their contract.
+RETIRED_CODES = {"RPL002", "RPL801", "RPL802", "RPL901"}
 
 
 def lint_source(
@@ -85,6 +85,10 @@ class TestRegistry:
         for rule in [*RULES, *PROJECT_RULES]:
             assert rule.title
             assert rule.rationale
+
+    def test_retired_codes_are_gone(self) -> None:
+        assert all_rule_codes() == ALL_CODES | PROJECT_CODES | {PARSE_ERROR_CODE}
+        assert not all_rule_codes() & RETIRED_CODES
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +125,39 @@ class TestNumpyGlobalRandom:
         findings = lint_source(tmp_path, "pkg/mod.py", "from numpy.random import rand\n")
         assert codes_of(findings) == {"RPL001"}
 
+    def test_aliased_numpy_random_module_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "pkg/mod.py",
+            """
+            import numpy.random as npr
+            x = npr.rand(3)
+            """,
+        )
+        assert codes_of(findings) == {"RPL001"}
+        assert findings[0].line == 3
+
+    def test_call_in_a_conditionally_redefined_function_fires(
+        self, tmp_path: Path
+    ) -> None:
+        findings = lint_source(
+            tmp_path,
+            "pkg/mod.py",
+            """
+            import numpy as np
+
+            try:
+                import fast
+            except ImportError:
+                def draw():
+                    return np.random.rand()
+            else:
+                def draw():
+                    return fast.draw()
+            """,
+        )
+        assert [(f.code, f.line) for f in findings] == [("RPL001", 8)]
+
     def test_seeded_generator_is_clean(self, tmp_path: Path) -> None:
         findings = lint_source(
             tmp_path,
@@ -141,18 +178,18 @@ class TestNumpyGlobalRandom:
 
 
 # ----------------------------------------------------------------------
-# RPL002 — stdlib random in the deterministic core
+# RPL001 — stdlib random in the deterministic core
 # ----------------------------------------------------------------------
 class TestStdlibRandom:
     def test_import_in_core_fires(self, tmp_path: Path) -> None:
         findings = lint_source(tmp_path, "repro/core/mod.py", "import random\n")
-        assert codes_of(findings) == {"RPL002"}
+        assert codes_of(findings) == {"RPL001"}
 
     def test_from_import_in_joins_fires(self, tmp_path: Path) -> None:
         findings = lint_source(
             tmp_path, "repro/joins/mod.py", "from random import choice\n"
         )
-        assert codes_of(findings) == {"RPL002"}
+        assert codes_of(findings) == {"RPL001"}
 
     def test_out_of_scope_is_clean(self, tmp_path: Path) -> None:
         findings = lint_source(tmp_path, "repro/datasets/mod.py", "import random\n")
@@ -203,6 +240,46 @@ class TestWallClock:
         )
         assert codes_of(findings) == {"RPL003"}
 
+    def test_datetime_class_now_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/core/mod.py",
+            """
+            from datetime import datetime
+
+            def f():
+                return datetime.now()
+            """,
+        )
+        assert codes_of(findings) == {"RPL003"}
+
+    def test_qualified_datetime_now_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/core/mod.py",
+            """
+            import datetime
+
+            def f():
+                return datetime.datetime.now()
+            """,
+        )
+        assert codes_of(findings) == {"RPL003"}
+
+    def test_aliased_time_module_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/core/mod.py",
+            """
+            import time as t
+
+            def f():
+                return t.perf_counter()
+            """,
+        )
+        assert codes_of(findings) == {"RPL003"}
+        assert findings[0].line == 5
+
     def test_whitelisted_site_is_clean(self, tmp_path: Path) -> None:
         findings = lint_source(
             tmp_path,
@@ -241,6 +318,19 @@ class TestWallClock:
 
             def measure():
                 return time.perf_counter()
+            """,
+        )
+        assert findings == []
+
+    def test_aliased_time_module_in_engine_is_clean(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/engine/mod.py",
+            """
+            import time as t
+
+            def measure():
+                return t.perf_counter()
             """,
         )
         assert findings == []
@@ -299,9 +389,7 @@ class TestExecutorSubmission:
         )
         assert findings == []
 
-    def test_other_modules_are_rpl901_territory(self, tmp_path: Path) -> None:
-        # RPL101 patrols executors.py only; outside it, the same lambda
-        # submit is picked up by the whole-program rule RPL901 instead.
+    def test_same_discipline_outside_executors(self, tmp_path: Path) -> None:
         findings = lint_source(
             tmp_path,
             "repro/engine/plan.py",
@@ -310,8 +398,32 @@ class TestExecutorSubmission:
                 return pool.submit(lambda: 1)
             """,
         )
-        assert codes_of(findings) == {"RPL901"}
+        assert codes_of(findings) == {"RPL101"}
         assert lint_source(tmp_path, "repro/engine/plan.py", "x = 1\n") == []
+
+    def test_nested_function_outside_executors_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/engine/plan.py",
+            """
+            def run(pool):
+                def task():
+                    return 1
+                return pool.submit(task)
+            """,
+        )
+        assert codes_of(findings) == {"RPL101"}
+
+    def test_computed_callable_outside_executors_fires(self, tmp_path: Path) -> None:
+        findings = lint_source(
+            tmp_path,
+            "repro/engine/plan.py",
+            """
+            def run(pool, tasks):
+                return pool.submit(tasks[0])
+            """,
+        )
+        assert codes_of(findings) == {"RPL101"}
 
 
 # ----------------------------------------------------------------------
@@ -846,7 +958,7 @@ class TestDrivers:
         (tmp_path / "repro" / "joins" / "notes.txt").write_text("skip", encoding="utf-8")
         report = lint_paths([tmp_path])
         assert report.checked == 2
-        assert [finding.code for finding in report.findings] == ["RPL002", "RPL201"]
+        assert [finding.code for finding in report.findings] == ["RPL001", "RPL201"]
         assert report.findings == sorted(report.findings)
 
     def test_diagnostic_render_format(self, tmp_path: Path) -> None:
@@ -877,7 +989,7 @@ class TestCli:
         path = self._write(tmp_path, "repro/core/mod.py", "import random\n")
         assert cli.main([str(path)]) == 1
         out = capsys.readouterr().out
-        assert f"{path}:1:1: RPL002" in out
+        assert f"{path}:1:1: RPL001" in out
         assert "1 finding(s)" in out
 
     def test_exit_two_without_paths(self, capsys: pytest.CaptureFixture[str]) -> None:
@@ -900,7 +1012,7 @@ class TestCli:
         # The broken file is reported, and the rest is still linted.
         assert PARSE_ERROR_CODE in out
         assert "cannot parse" in out
-        assert "RPL002" in out
+        assert "RPL001" in out
 
     def test_exit_two_on_unknown_select_code(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
@@ -908,6 +1020,14 @@ class TestCli:
         path = self._write(tmp_path, "mod.py", "x = 1\n")
         assert cli.main(["--select", "RPL123", str(path)]) == 2
         assert "unknown rule code" in capsys.readouterr().err
+
+    def test_exit_two_on_retired_code(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        path = self._write(tmp_path, "mod.py", "x = 1\n")
+        for code in sorted(RETIRED_CODES):
+            assert cli.main(["--select", code, str(path)]) == 2
+            assert "unknown rule code" in capsys.readouterr().err
 
     def test_exit_two_on_duplicate_path(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
@@ -922,33 +1042,37 @@ class TestCli:
         path = self._write(
             tmp_path,
             "repro/core/mod.py",
-            "import random\nimport numpy as np\nnp.random.seed(0)\n",
+            "import random\n\n\ndef f(lo_a, hi_b):\n    return lo_a <= hi_b\n",
         )
-        assert cli.main(["--select", "rpl002", str(path)]) == 1
+        assert cli.main(["--select", "rpl001", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "RPL002" in out
-        assert "RPL001" not in out
+        assert "RPL001" in out
+        assert "RPL201" not in out
 
     def test_list_rules_prints_catalogue(
         self, capsys: pytest.CaptureFixture[str]
     ) -> None:
         assert cli.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in sorted(ALL_CODES | PROJECT_CODES | {PARSE_ERROR_CODE}):
-            assert code in out
+        listed = {line.split()[0] for line in out.splitlines() if line[:3] == "RPL"}
+        assert listed == ALL_CODES | PROJECT_CODES | {PARSE_ERROR_CODE}
+        assert len(listed) == 14
 
 
 # ----------------------------------------------------------------------
 # The repository lints itself
 # ----------------------------------------------------------------------
 def test_repository_is_clean() -> None:
-    """The CI gate (`python -m tools.repro_lint src benchmarks tools tests`) holds.
+    """The CI gate (`python -m tools.repro_lint src benchmarks tools tests examples`) holds.
 
     Runs the *full* rule set — per-file and whole-program families alike.
     Deliberate-violation fixture trees under ``tests/fixtures/lint`` are
     pruned by their ``.repro-lint-ignore`` marker.
     """
     findings = cli.run_paths(
-        [str(REPO_ROOT / name) for name in ("src", "benchmarks", "tools", "tests")]
+        [
+            str(REPO_ROOT / name)
+            for name in ("src", "benchmarks", "tools", "tests", "examples")
+        ]
     )
     assert findings == [], "\n".join(finding.render() for finding in findings)

@@ -1,6 +1,6 @@
 """Whole-program analysis tests: cross-file rules, index cache, CLI modes.
 
-The RPL7xx/8xx/9xx fixtures live on disk under ``tests/fixtures/lint``;
+The cross-file fixtures live on disk under ``tests/fixtures/lint``;
 each ``*_fire`` tree splits the violation across *two* modules so that a
 per-file analysis provably cannot catch it — every fire test also lints
 the anchoring module **alone** and asserts silence, then lints the pair
@@ -35,11 +35,11 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 
 #: rule code -> (fixture stem, display-path fragment of the flagged file)
 FIRE_ANCHORS = {
+    "RPL001": ("rpl001_reach", "repro/joins/alg.py"),
+    "RPL003": ("rpl003_reach", "repro/core/alg.py"),
+    "RPL101": ("rpl101_reach", "repro/engine/runner.py"),
     "RPL701": ("rpl701", "repro/service/app.py"),
     "RPL702": ("rpl702", "repro/service/app.py"),
-    "RPL801": ("rpl801", "repro/core/alg.py"),
-    "RPL802": ("rpl802", "repro/joins/alg.py"),
-    "RPL901": ("rpl901", "repro/engine/runner.py"),
     "RPL902": ("rpl902", "repro/engine/runner.py"),
 }
 
@@ -49,7 +49,7 @@ def codes_of(findings) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# The six cross-file rules: fire, clean, and the per-file impossibility
+# The six cross-file fixture pairs: fire, clean, and the per-file impossibility
 # ----------------------------------------------------------------------
 class TestCrossFileRules:
     @pytest.mark.parametrize("code", sorted(FIRE_ANCHORS))
@@ -148,7 +148,7 @@ class TestIndexCache:
         report = lint_paths([tmp_path], cache=IndexCache(cache_path))
         assert report.cache_misses == 1  # only the edited file re-analyzed
         assert report.cache_hits == report.checked - 1
-        assert codes_of(report.findings) == {"RPL801"}
+        assert codes_of(report.findings) == {"RPL003"}
         assert report.findings[0].path.endswith("repro/core/alg.py")
 
     def test_cache_survives_corruption(self, tmp_path: Path) -> None:
@@ -264,7 +264,10 @@ class TestCliModes:
 # Performance: the warm cached full-repo lint stays fast
 # ----------------------------------------------------------------------
 def test_warm_full_repo_lint_under_ten_seconds(tmp_path: Path) -> None:
-    roots = [str(REPO_ROOT / name) for name in ("src", "benchmarks", "tools", "tests")]
+    roots = [
+        str(REPO_ROOT / name)
+        for name in ("src", "benchmarks", "tools", "tests", "examples")
+    ]
     cache_path = tmp_path / "cache.json"
     lint_paths(roots, cache=IndexCache(cache_path))  # cold run seeds the cache
     started = time.perf_counter()

@@ -17,7 +17,8 @@ when the target is provable from the summaries:
   cross-module edges;
 * anything else produces *no* edge.  The analysis under-approximates
   reachability rather than drowning the tree in speculative matches;
-  the per-file rules keep covering the purely local cases.
+  sinks written in a function are in its summary whether or not any
+  edge reaches it.
 
 Reachability queries return, per function, the next hop towards a sink
 so rules can print an explicit call chain in the diagnostic.
@@ -67,7 +68,8 @@ class CallGraph:
     ) -> tuple[str, str, str] | None:
         """Resolve an absolute dotted name to ``(kind, module, qualname)``.
 
-        ``kind`` is ``"func"`` or ``"class"``.  Chases re-export chains
+        ``kind`` is ``"func"``, ``"class"`` or ``"global"`` (any other
+        module-level binding, e.g. a lambda).  Chases re-export chains
         (``from repro.engine.engine import execute_step`` inside
         ``repro/engine/__init__.py``) up to :data:`_MAX_CHASE` hops.
         """
@@ -96,7 +98,15 @@ class CallGraph:
             tail = ".".join(rest[1:])
             chained = f"{target}.{tail}" if tail else target
             return self.resolve_symbol(chained, depth + 1)
+        if qualname in summary.globals:
+            return ("global", summary.module, qualname)
         return None
+
+    def resolve_in(
+        self, summary: ModuleSummary, name: str
+    ) -> tuple[str, str, str] | None:
+        """:meth:`resolve_symbol` for a name as written inside ``summary``."""
+        return self._resolve_in_module(summary, name.split("."), 0)
 
     def resolve_class(self, module: str, ref: str) -> tuple[str, str] | None:
         """Resolve a class-reference string relative to ``module``."""
@@ -330,7 +340,7 @@ class CallGraph:
         while node is not None and len(hops) < limit:
             hops.append(self.describe(node))
             node = closure.get(node, (None, ""))[0]
-        hops.append(f"{label}()")
+        hops.append(label if " " in label else f"{label}()")
         return " -> ".join(hops)
 
     def iter_functions(

@@ -1,9 +1,10 @@
 """Repo-specific configuration for the repro-lint rules.
 
 Everything scope- or policy-shaped lives here so the rule logic in
-:mod:`tools.repro_lint.rules` stays mechanical: which directories a rule
-patrols, which callables are sanctioned, and the explicit whitelist for
-wall-clock use inside the deterministic core.
+:mod:`tools.repro_lint.rules` and :mod:`tools.repro_lint.project_rules`
+stays mechanical: which directories a rule patrols, which callables are
+sanctioned, and the explicit whitelist for wall-clock use inside the
+deterministic core.
 
 Scopes are matched as substrings of each file's *resolved* POSIX path,
 so they work identically for the real tree (``src/repro/...``) and for
@@ -28,9 +29,6 @@ DETERMINISTIC_SCOPE: tuple[str, ...] = (
     "/repro/geometry/",
 )
 
-#: The executor module — the only place tasks cross a process boundary.
-EXECUTORS_SCOPE: tuple[str, ...] = ("/repro/engine/executors.py",)
-
 #: The engine package: shared-memory views are created here.
 ENGINE_SCOPE: tuple[str, ...] = ("/repro/engine/",)
 
@@ -47,7 +45,7 @@ BASE_MODULE: tuple[str, ...] = ("/repro/joins/base.py",)
 LIBRARY_SCOPE: tuple[str, ...] = ("/repro/",)
 
 # ----------------------------------------------------------------------
-# RPL001 — numpy global RNG
+# RPL001 — entropy outside a seeded Generator
 # ----------------------------------------------------------------------
 #: ``numpy.random`` attributes that construct *seedable* generator
 #: machinery.  Everything else on the module (``np.random.rand``,
@@ -66,6 +64,27 @@ NP_RANDOM_ALLOWED: frozenset[str] = frozenset(
         "SFC64",
     }
 )
+
+#: Resolved dotted call names that draw entropy from outside a seeded
+#: ``numpy.random.Generator``: the stdlib Mersenne Twister, OS entropy,
+#: and clock/MAC-derived UUIDs.  ``random.*`` is matched by prefix.
+ENTROPY_CALLS: frozenset[str] = frozenset(
+    {
+        "os.urandom",
+        "os.getrandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "secrets.token_bytes",
+        "secrets.token_hex",
+        "secrets.token_urlsafe",
+        "secrets.randbits",
+        "secrets.randbelow",
+        "secrets.choice",
+    }
+)
+
+#: Module roots whose *every* call is an entropy draw.
+ENTROPY_MODULE_ROOTS: frozenset[str] = frozenset({"random"})
 
 # ----------------------------------------------------------------------
 # RPL003 — wall-clock reads
@@ -96,6 +115,13 @@ TIMING_WHITELIST: dict[tuple[str, str], str] = {
         "ThermalJoin._build",
     ): "build_seconds instrumentation: the wall time *is* the measured quantity",
 }
+
+#: Layers whose *job* is timing: wall-clock reads here are sanctioned
+#: instrumentation (the measured wall time is the output), so RPL003's
+#: reachability closure does not propagate through them.  A clock read
+#: anywhere else that the deterministic core can reach through helper
+#: calls is a determinism leak exactly like one written in the core.
+TIMING_LAYER_SCOPE: tuple[str, ...] = ("/repro/engine/", "/repro/obs/")
 
 # ----------------------------------------------------------------------
 # RPL201 — ad-hoc overlap predicates
@@ -237,38 +263,7 @@ OFFLOAD_CALLS: frozenset[str] = frozenset({"asyncio.to_thread"})
 OFFLOAD_ATTRS: frozenset[str] = frozenset({"run_in_executor"})
 
 # ----------------------------------------------------------------------
-# RPL8xx — interprocedural determinism (whole-program)
-# ----------------------------------------------------------------------
-#: Layers whose *job* is timing: wall-clock reads here are sanctioned
-#: instrumentation (the measured wall time is the output), so RPL801's
-#: reachability closure does not propagate through them.  A clock read
-#: anywhere else that the deterministic core can reach through helper
-#: calls is a determinism leak exactly like a direct RPL003 hit.
-TIMING_LAYER_SCOPE: tuple[str, ...] = ("/repro/engine/", "/repro/obs/")
-
-#: Resolved dotted call names that draw entropy from outside a seeded
-#: ``numpy.random.Generator``: the stdlib Mersenne Twister, OS entropy,
-#: and clock/MAC-derived UUIDs.  ``random.*`` is matched by prefix.
-ENTROPY_CALLS: frozenset[str] = frozenset(
-    {
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.token_urlsafe",
-        "secrets.randbits",
-        "secrets.randbelow",
-        "secrets.choice",
-    }
-)
-
-#: Module roots whose *every* call is an entropy draw.
-ENTROPY_MODULE_ROOTS: frozenset[str] = frozenset({"random"})
-
-# ----------------------------------------------------------------------
-# RPL9xx — executor-boundary transitivity (whole-program)
+# RPL101 / RPL902 — the executor boundary (whole-program)
 # ----------------------------------------------------------------------
 #: Module-level global kinds that are process-local: a submitted
 #: callable that reads one of these gets a *fresh copy* in every worker

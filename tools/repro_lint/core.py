@@ -62,7 +62,6 @@ __all__ = [
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "walk_scoped",
 ]
 
 SUPPRESSION_RE = re.compile(
@@ -193,29 +192,6 @@ def all_rule_codes() -> frozenset[str]:
         | {rule.code for rule in PROJECT_RULES}
         | {PARSE_ERROR_CODE}
     )
-
-
-def walk_scoped(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
-    """Yield ``(node, qualname)`` for every node in ``tree``.
-
-    ``qualname`` is the dotted path of enclosing class/function scopes
-    (empty at module level).  A ``FunctionDef``/``ClassDef`` node itself
-    is reported under its *enclosing* scope; its body under its own.
-    """
-    stack: list[str] = []
-
-    def visit(node: ast.AST) -> Iterator[tuple[ast.AST, str]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield child, ".".join(stack)
-                stack.append(child.name)
-                yield from visit(child)
-                stack.pop()
-            else:
-                yield child, ".".join(stack)
-                yield from visit(child)
-
-    yield from visit(tree)
 
 
 # ----------------------------------------------------------------------

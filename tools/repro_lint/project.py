@@ -27,6 +27,7 @@ import ast
 import contextlib
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -47,7 +48,11 @@ __all__ = [
 ]
 
 #: Bump when the summary shape changes incompatibly.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+
+#: Qualname of the pseudo-function that holds a module's top-level code
+#: (module and class-body statements outside any ``def``).
+MODULE_SCOPE = "<module>"
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +89,10 @@ class SubmitSite:
     """An ``<pool>.submit(target, ...)`` call."""
 
     target: str  #: dotted name, "<lambda>" or "<computed>"
-    kind: str  #: "name" | "lambda" | "computed"
+    #: "name" (resolve through the index) | "local" (a bare name bound in
+    #: the submitting function or an enclosing one: nested def, parameter,
+    #: local variable) | "lambda" | "computed"
+    kind: str
     lineno: int
     col: int
 
@@ -104,12 +112,13 @@ class FunctionInfo:
     lineno: int
     col: int
     is_async: bool = False
-    kind: str = "function"  #: "function" | "method" | "nested"
-    owner: str = ""  #: enclosing class name for methods
+    kind: str = "function"  #: "function" | "method" | "nested" | "module"
+    owner: str = ""  #: enclosing class qualname for methods
     params: dict[str, str] = field(default_factory=dict)  #: name -> annotation ref
     local_types: dict[str, str] = field(default_factory=dict)  #: name -> class ref
     calls: list[CallSite] = field(default_factory=list)
-    #: sink kind ("blocking" | "clock" | "entropy") -> [(label, line, col)]
+    #: sink kind ("blocking" | "clock" | "entropy") -> [(label, line, col)];
+    #: entropy also covers imports of an entropy source ("import random")
     sinks: dict[str, list[tuple[str, int, int]]] = field(default_factory=dict)
     submits: list[SubmitSite] = field(default_factory=list)
     reads: list[str] = field(default_factory=list)  #: non-local names read
@@ -326,9 +335,13 @@ def _resolve_root(name: str, imports: dict[str, str]) -> str:
 
 
 def _classify_sink(
-    callee: str, node: ast.Call, imports: dict[str, str]
+    callee: str, node: ast.Call | None, imports: dict[str, str]
 ) -> tuple[str, str] | None:
-    """``(sink kind, label)`` when the resolved call is a sink."""
+    """``(sink kind, label)`` when the resolved call is a sink.
+
+    ``node`` is ``None`` when classifying an imported name rather than a
+    call (see :func:`_classify_import`).
+    """
     resolved = _resolve_root(callee, imports)
     last = resolved.rsplit(".", 1)[-1]
     root = resolved.partition(".")[0]
@@ -339,12 +352,12 @@ def _classify_sink(
         return "blocking", "open"
     if "." in callee and callee.rsplit(".", 1)[-1] in config.BLOCKING_ATTRS:
         return "blocking", f".{callee.rsplit('.', 1)[-1]}"
-    # Wall-clock reads (RPL801 sinks).
+    # Wall-clock reads (RPL003 sinks).
     if root == "time" and last in config.WALL_CLOCK_FUNCTIONS:
         return "clock", resolved
     if root in ("datetime", "date") and last in config.DATETIME_NOW_FUNCTIONS:
         return "clock", resolved
-    # Entropy draws (RPL802 sinks).
+    # Entropy draws (RPL001 sinks).
     if resolved in config.ENTROPY_CALLS:
         return "entropy", resolved
     if root in config.ENTROPY_MODULE_ROOTS and "." in resolved:
@@ -353,13 +366,27 @@ def _classify_sink(
         attr = resolved.split(".", 2)[2].partition(".")[0]
         if attr not in config.NP_RANDOM_ALLOWED:
             return "entropy", resolved
-        if attr == "default_rng" and not node.args and not node.keywords:
+        if attr == "default_rng" and node is not None and not node.args and not node.keywords:
             return "entropy", "numpy.random.default_rng()  # unseeded"
     return None
 
 
+def _classify_import(target: str) -> str | None:
+    """Entropy-sink label when importing ``target`` brings a draw into scope.
+
+    ``import random`` / ``from numpy.random import rand`` are findings
+    where they are written, even before (or without) a call.
+    """
+    sink = _classify_sink(target, None, {})
+    if target.partition(".")[0] in config.ENTROPY_MODULE_ROOTS or (
+        sink is not None and sink[0] == "entropy"
+    ):
+        return f"import {target}"
+    return None
+
+
 def _classify_global(value: ast.expr, imports: dict[str, str]) -> str:
-    """Kind of a module-level binding (for RPL901/902)."""
+    """Kind of a module-level binding (for RPL101/902)."""
     if isinstance(value, ast.Lambda):
         return "lambda"
     if isinstance(value, ast.Call):
@@ -381,26 +408,55 @@ def _classify_global(value: ast.expr, imports: dict[str, str]) -> str:
 
 
 class _FunctionExtractor:
-    """Collect calls, sinks, submits and reads from one function body."""
+    """Collect calls, sinks, submits and reads from one scope's code.
 
-    def __init__(self, imports: dict[str, str]) -> None:
+    A scope is a function body or a module's top-level code.  A nested
+    ``def`` body is its own scope, but its decorators and defaults, and
+    the statements of a nested class body, run in the enclosing one.
+    """
+
+    def __init__(
+        self,
+        imports: dict[str, str],
+        enclosing: frozenset[str] = frozenset(),
+        module_scope: bool = False,
+    ) -> None:
         self.imports = imports
+        self.enclosing = enclosing  #: local names of enclosing functions
+        self.module_scope = module_scope
         self.calls: list[CallSite] = []
         self.sinks: dict[str, list[tuple[str, int, int]]] = {}
         self.submits: list[SubmitSite] = []
         self.bound: set[str] = set()
+        self.imported: set[str] = set()
         self.read: list[str] = []
+
+    def local_names(self) -> frozenset[str]:
+        """Names bound in this function or an enclosing one, imports aside."""
+        if self.module_scope:
+            return frozenset()
+        return frozenset(self.bound - self.imported) | self.enclosing
 
     def visit_body(self, stmts: list[ast.stmt]) -> None:
         for stmt in stmts:
             self._visit(stmt, awaited=False, bare=False)
 
     def _visit(self, node: ast.AST, awaited: bool, bare: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.bound.add(node.name)
-            return  # nested defs are their own FunctionInfo
-        if isinstance(node, ast.ClassDef):
-            self.bound.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            header: list[ast.AST] = [*node.decorator_list]
+            if isinstance(node, ast.ClassDef):
+                header += [*node.bases, *node.keywords]
+                header += [
+                    stmt
+                    for stmt in node.body
+                    if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            else:
+                header += [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            outer = set(self.bound)  # class attributes do not bind here
+            for child in header:
+                self._visit(child, awaited=False, bare=False)
+            self.bound = outer | {node.name}
             return
         if isinstance(node, ast.Expr):
             self._visit(node.value, awaited=False, bare=True)
@@ -420,7 +476,21 @@ class _FunctionExtractor:
             return
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                self.bound.add(alias.asname or alias.name.split(".")[0])
+                local = alias.asname or alias.name.split(".")[0]
+                self.bound.add(local)
+                self.imported.add(local)
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    continue  # a relative import is never an entropy source
+                target = (
+                    f"{node.module}.{alias.name}"
+                    if isinstance(node, ast.ImportFrom)
+                    else alias.name
+                )
+                label = _classify_import(target)
+                if label is not None:
+                    self.sinks.setdefault("entropy", []).append(
+                        (label, node.lineno, node.col_offset)
+                    )
             return
         for child in ast.iter_child_nodes(node):
             self._visit(child, awaited=False, bare=False)
@@ -452,8 +522,9 @@ class _FunctionExtractor:
                 self.sinks.setdefault(kind, []).append(
                     (label, node.lineno, node.col_offset)
                 )
-            if callee.rsplit(".", 1)[-1] == "submit" and "." in callee and node.args:
-                self._handle_submit(node)
+        # Any receiver counts: ``pools[0].submit(...)`` submits too.
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "submit" and node.args:
+            self._handle_submit(node.args[0])
         # Offloaded callables still become (flagged) edges so the
         # determinism rules can traverse them.
         for arg in offload_args:
@@ -468,24 +539,17 @@ class _FunctionExtractor:
         for child in ast.iter_child_nodes(node):
             self._visit(child, awaited=False, bare=False)
 
-    def _handle_submit(self, node: ast.Call) -> None:
-        target = node.args[0]
-        if isinstance(target, ast.Lambda):
-            self.submits.append(
-                SubmitSite("<lambda>", "lambda", target.lineno, target.col_offset)
-            )
-            return
+    def _handle_submit(self, target: ast.expr) -> None:
         dotted = _dotted(target)
-        if dotted is None:
-            self.submits.append(
-                SubmitSite(
-                    "<computed>", "computed", target.lineno, target.col_offset
-                )
-            )
+        if isinstance(target, ast.Lambda):
+            dotted, kind = "<lambda>", "lambda"
+        elif dotted is None:
+            dotted, kind = "<computed>", "computed"
+        elif dotted in self.local_names():
+            kind = "local"
         else:
-            self.submits.append(
-                SubmitSite(dotted, "name", target.lineno, target.col_offset)
-            )
+            kind = "name"
+        self.submits.append(SubmitSite(dotted, kind, target.lineno, target.col_offset))
 
 
 def _function_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str]:
@@ -498,51 +562,71 @@ def _function_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, 
     return params
 
 
-def _extract_functions(
+def _scope_defs(
+    nodes: Iterable[ast.AST],
+) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef]:
+    """The defs and classes of one scope, also those under ``if``/``try``/..."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        elif not isinstance(node, ast.expr):
+            yield from _scope_defs(ast.iter_child_nodes(node))
+
+
+def _extract_scope(
     summary: ModuleSummary,
     body: list[ast.stmt],
     prefix: str,
-    owner: str,
-    kind: str,
+    enclosing: frozenset[str] = frozenset(),
 ) -> None:
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qualname = f"{prefix}{node.name}"
-            extractor = _FunctionExtractor(summary.imports)
-            extractor.bound.update(_function_params(node).keys())
-            extractor.bound.update(
-                arg.arg
-                for arg in [
-                    *node.args.posonlyargs,
-                    *node.args.args,
-                    *node.args.kwonlyargs,
-                ]
-            )
-            if node.args.vararg:
-                extractor.bound.add(node.args.vararg.arg)
-            if node.args.kwarg:
-                extractor.bound.add(node.args.kwarg.arg)
-            extractor.visit_body(node.body)
-            info = FunctionInfo(
-                qualname=qualname,
-                lineno=node.lineno,
-                col=node.col_offset,
-                is_async=isinstance(node, ast.AsyncFunctionDef),
-                kind=kind,
-                owner=owner,
-                params=_function_params(node),
-                local_types=_local_types(node.body, summary.imports),
-                calls=extractor.calls,
-                sinks=extractor.sinks,
-                submits=extractor.submits,
-                reads=sorted(set(extractor.read)),
-            )
-            summary.functions[qualname] = info
-            _extract_functions(
-                summary, node.body, prefix=f"{qualname}.", owner="", kind="nested"
-            )
-        elif isinstance(node, ast.ClassDef):
+    """Summarize every def and class of one scope, nested ones included."""
+    for node in _scope_defs(body):
+        if isinstance(node, ast.ClassDef):
             _extract_class(summary, node, prefix)
+        else:
+            kind = "nested" if prefix else "function"
+            _extract_function(summary, node, prefix, kind, "", enclosing)
+
+
+def _extract_function(
+    summary: ModuleSummary,
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    prefix: str,
+    kind: str,
+    owner: str,
+    enclosing: frozenset[str],
+) -> None:
+    qualname = f"{prefix}{node.name}"
+    extractor = _FunctionExtractor(summary.imports, enclosing)
+    args = node.args
+    extractor.bound.update(
+        arg.arg
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if arg is not None
+    )
+    extractor.visit_body(node.body)
+    previous = summary.functions.get(qualname)
+    if previous is not None:  # redefined (e.g. per if/else branch): either body may run
+        extractor.calls[:0] = previous.calls
+        extractor.submits[:0] = previous.submits
+        extractor.read += previous.reads
+        for sink_kind, sites in previous.sinks.items():
+            extractor.sinks[sink_kind] = sites + extractor.sinks.get(sink_kind, [])
+    summary.functions[qualname] = FunctionInfo(
+        qualname=qualname,
+        lineno=node.lineno,
+        col=node.col_offset,
+        is_async=isinstance(node, ast.AsyncFunctionDef),
+        kind=kind,
+        owner=owner,
+        params=_function_params(node),
+        local_types=_local_types(node.body, summary.imports),
+        calls=extractor.calls,
+        sinks=extractor.sinks,
+        submits=extractor.submits,
+        reads=sorted(set(extractor.read)),
+    )
+    _extract_scope(summary, node.body, f"{qualname}.", extractor.local_names())
 
 
 def _local_types(stmts: list[ast.stmt], imports: dict[str, str]) -> dict[str, str]:
@@ -605,41 +689,13 @@ def _extract_class(summary: ModuleSummary, node: ast.ClassDef, prefix: str) -> N
                 info.attr_types.setdefault(stmt.target.id, ref)
     summary.classes[info.name] = info
     class_prefix = f"{info.name}."
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _extract_methods(summary, stmt, class_prefix, node.name)
-
-
-def _extract_methods(
-    summary: ModuleSummary,
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    class_prefix: str,
-    owner: str,
-) -> None:
-    qualname = f"{class_prefix}{node.name}"
-    extractor = _FunctionExtractor(summary.imports)
-    for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]:
-        extractor.bound.add(arg.arg)
-    if node.args.vararg:
-        extractor.bound.add(node.args.vararg.arg)
-    if node.args.kwarg:
-        extractor.bound.add(node.args.kwarg.arg)
-    extractor.visit_body(node.body)
-    summary.functions[qualname] = FunctionInfo(
-        qualname=qualname,
-        lineno=node.lineno,
-        col=node.col_offset,
-        is_async=isinstance(node, ast.AsyncFunctionDef),
-        kind="method",
-        owner=owner,
-        params=_function_params(node),
-        local_types=_local_types(node.body, summary.imports),
-        calls=extractor.calls,
-        sinks=extractor.sinks,
-        submits=extractor.submits,
-        reads=sorted(set(extractor.read)),
-    )
-    _extract_functions(summary, node.body, prefix=f"{qualname}.", owner="", kind="nested")
+    for stmt in _scope_defs(node.body):
+        if isinstance(stmt, ast.ClassDef):
+            _extract_class(summary, stmt, class_prefix)
+        else:
+            _extract_function(
+                summary, stmt, class_prefix, "method", info.name, frozenset()
+            )
 
 
 def _collect_imports(summary: ModuleSummary, tree: ast.Module) -> None:
@@ -706,7 +762,18 @@ def summarize_module(
                 summary.globals[node.target.id] = _classify_global(
                     node.value, summary.imports
                 )
-    _extract_functions(summary, tree.body, prefix="", owner="", kind="function")
+    _extract_scope(summary, tree.body, prefix="")
+    top_level = _FunctionExtractor(summary.imports, module_scope=True)
+    top_level.visit_body(tree.body)
+    summary.functions[MODULE_SCOPE] = FunctionInfo(
+        qualname=MODULE_SCOPE,
+        lineno=1,
+        col=0,
+        kind="module",
+        calls=top_level.calls,
+        sinks=top_level.sinks,
+        submits=top_level.submits,
+    )
     return summary
 
 

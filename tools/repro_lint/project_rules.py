@@ -1,27 +1,32 @@
-"""Whole-program rules: the RPL7xx/8xx/9xx families.
+"""Whole-program rules: every contract that needs the project view.
 
 These run on the :class:`~tools.repro_lint.project.ProjectIndex` and
 :class:`~tools.repro_lint.callgraph.CallGraph` instead of a single
-file's AST, so a violation may *span modules*: the flagged line is in
+file's AST.  One rule reports both the sites written in a file and the
+violations that *span modules*: for the latter the flagged line is in
 the function where the contract binds (the ``async def``, the
 deterministic-core caller, the ``submit`` site) while the offending
-sink lives any number of calls away in any other module.  Each
+sink lives any number of calls away in any other module.  Each such
 diagnostic prints the resolved call chain so the reader does not have
 to rediscover the path.
 
 ========  ============================================================
+RPL001    entropy outside a seeded Generator: numpy global RNG and
+          unseeded ``default_rng`` anywhere; stdlib ``random``, uuid,
+          secrets and ``os.urandom`` in the deterministic core, direct
+          or reached through a helper
+RPL003    wall-clock read in the deterministic core, direct or reached
+          through a helper (``TIMING_WHITELIST`` exempt)
+RPL101    executor-submitted callable must be a module-level def
 RPL701    blocking call reachable from an ``async def`` (no to_thread)
 RPL702    coroutine called but never awaited
-RPL801    wall-clock read reachable from the deterministic core
-RPL802    entropy draw reachable from the deterministic core
-RPL901    executor-submitted callable must resolve to a module-level def
 RPL902    submitted callable closes over process-local module state
 ========  ============================================================
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from tools.repro_lint import config
 from tools.repro_lint.callgraph import CallGraph, FuncNode
@@ -30,7 +35,12 @@ from tools.repro_lint.core import (
     ProjectRule,
     register_project,
 )
-from tools.repro_lint.project import FunctionInfo, ModuleSummary, ProjectIndex
+from tools.repro_lint.project import (
+    FunctionInfo,
+    ModuleSummary,
+    ProjectIndex,
+    SubmitSite,
+)
 
 
 def _emit(
@@ -155,34 +165,119 @@ class UnawaitedCoroutineRule(ProjectRule):
 
 
 # ----------------------------------------------------------------------
-# RPL8xx — interprocedural determinism
+# RPL001 / RPL003 — determinism of the core
 # ----------------------------------------------------------------------
+def _carriers(
+    index: ProjectIndex, exempt: tuple[str, ...] = ()
+) -> Callable[[FuncNode], bool]:
+    """Reach-closure gate: only frames outside the core (and ``exempt``) carry.
+
+    A sink written inside the core is reported where it is written, so
+    each leak is reported once, at the first deterministic-core frame.
+    """
+
+    def carries(node: FuncNode) -> bool:
+        summary = index.modules.get(node[0])
+        return summary is not None and not summary.in_scope(
+            config.DETERMINISTIC_SCOPE + exempt
+        )
+
+    return carries
+
+
+def _entropy_message(label: str) -> str:
+    if label.endswith("# unseeded"):
+        return (
+            "numpy.random.default_rng() without a seed is entropy-seeded "
+            "and nondeterministic; pass an explicit seed"
+        )
+    if "numpy.random." in label:
+        return (
+            f"{label}: numpy's hidden global RNG; use a seeded Generator "
+            "(numpy.random.default_rng(seed))"
+        )
+    return (
+        f"{label}: an entropy source inside the deterministic core; take "
+        "a seeded numpy Generator parameter instead"
+    )
+
+
 @register_project
-class DeterministicClockReachRule(ProjectRule):
-    code = "RPL801"
-    title = "wall-clock read reachable from the deterministic core"
+class EntropyRule(ProjectRule):
+    code = "RPL001"
+    title = "entropy outside a seeded Generator"
     rationale = (
-        "RPL003 bans clock reads written *inside* core/joins/geometry "
-        "files; this rule closes the loophole one call away: a helper "
-        "in any other module that reads a clock and is reachable from "
-        "the deterministic core makes behaviour machine-speed-"
-        "dependent just the same.  The engine/obs layers are exempt "
-        "carriers — timing instrumentation is their declared job and "
-        "its output is the measured wall time, not a decision input."
+        "Results must be a pure function of the seed, so randomness flows "
+        "only from a seeded numpy.random.Generator (the repro.datasets "
+        "convention).  numpy's module-level RNG (np.random.rand, "
+        "np.random.seed, legacy numpy.random imports) and an unseeded "
+        "default_rng() are banned everywhere: they make results depend on "
+        "call order across the whole process.  The grids, joins and "
+        "geometry must also not touch the stdlib random module, uuid, "
+        "secrets or os.urandom — neither directly nor through a helper in "
+        "any other module that the call graph shows they reach."
     )
 
     def check_project(
         self, index: ProjectIndex, graph: CallGraph
     ) -> Iterator[Diagnostic]:
-        def carries(node: FuncNode) -> bool:
-            summary = index.modules.get(node[0])
-            if summary is None:
-                return False
-            return not summary.in_scope(
-                config.DETERMINISTIC_SCOPE
-            ) and not summary.in_scope(config.TIMING_LAYER_SCOPE)
+        for summary, info in graph.iter_functions():
+            in_core = summary.in_scope(config.DETERMINISTIC_SCOPE)
+            for label, line, col in info.sinks.get("entropy", ()):
+                if not in_core and "numpy.random." not in label:
+                    continue
+                diag = _emit(summary, line, col, self.code, _entropy_message(label))
+                if diag is not None:
+                    yield diag
+        closure = graph.sink_closure("entropy", include=_carriers(index))
+        yield from _reach_findings(
+            graph,
+            closure,
+            self.code,
+            "draws entropy via",
+            "thread a seeded numpy.random.Generator through the call "
+            "instead",
+        )
 
-        closure = graph.sink_closure("clock", include=carries)
+
+@register_project
+class WallClockRule(ProjectRule):
+    code = "RPL003"
+    title = "wall-clock read in the deterministic core"
+    rationale = (
+        "time.time()/perf_counter()/datetime.now() inside the grids, "
+        "joins or geometry make behaviour depend on machine speed (a "
+        "time-based tuning decision would diverge between serial and "
+        "parallel runs) — whether the read is written in the core or in "
+        "a helper, in any module, that the call graph shows the core "
+        "reaches.  Timing belongs to the engine/obs layers, which are "
+        "exempt carriers; TIMING_WHITELIST covers instrumentation whose "
+        "*output* is the measured wall time."
+    )
+
+    def check_project(
+        self, index: ProjectIndex, graph: CallGraph
+    ) -> Iterator[Diagnostic]:
+        for summary, info in graph.iter_functions(
+            lambda s: s.in_scope(config.DETERMINISTIC_SCOPE)
+        ):
+            if _is_timing_whitelisted(summary, info.qualname):
+                continue
+            for label, line, col in info.sinks.get("clock", ()):
+                diag = _emit(
+                    summary,
+                    line,
+                    col,
+                    self.code,
+                    f"{label}() read inside the deterministic core; move "
+                    "timing to the engine/obs layer or whitelist the "
+                    "instrumentation site",
+                )
+                if diag is not None:
+                    yield diag
+        closure = graph.sink_closure(
+            "clock", include=_carriers(index, config.TIMING_LAYER_SCOPE)
+        )
         yield from _reach_findings(
             graph,
             closure,
@@ -192,59 +287,6 @@ class DeterministicClockReachRule(ProjectRule):
             "whitelist the site in TIMING_WHITELIST",
             respect_timing_whitelist=True,
         )
-
-
-@register_project
-class DeterministicEntropyReachRule(ProjectRule):
-    code = "RPL802"
-    title = "entropy draw reachable from the deterministic core"
-    rationale = (
-        "RPL001/002 catch global-RNG syntax in the file where it is "
-        "written; they cannot see a helper in another module that "
-        "calls random.random(), uuid.uuid4() or os.urandom() on "
-        "behalf of the deterministic core.  Any such reachable draw "
-        "breaks the bit-reproducibility contract exactly like an "
-        "inline one: randomness must arrive as a seeded "
-        "numpy.random.Generator parameter."
-    )
-
-    def check_project(
-        self, index: ProjectIndex, graph: CallGraph
-    ) -> Iterator[Diagnostic]:
-        def carries(node: FuncNode) -> bool:
-            summary = index.modules.get(node[0])
-            return summary is not None and not summary.in_scope(
-                config.DETERMINISTIC_SCOPE
-            )
-
-        closure = graph.sink_closure("entropy", include=carries)
-        yield from _reach_findings(
-            graph,
-            closure,
-            self.code,
-            "draws entropy via",
-            "thread a seeded numpy.random.Generator through the call "
-            "instead",
-        )
-        # Direct draws the per-file rules do not cover (uuid/secrets/
-        # os.urandom; np.random and stdlib-random syntax are RPL001/002).
-        for summary, info in graph.iter_functions(
-            lambda s: s.in_scope(config.DETERMINISTIC_SCOPE)
-        ):
-            for label, line, col in info.sinks.get("entropy", ()):
-                if label not in config.ENTROPY_CALLS:
-                    continue
-                diag = _emit(
-                    summary,
-                    line,
-                    col,
-                    self.code,
-                    f"{info.qualname} draws entropy from {label}() inside "
-                    "the deterministic core; thread a seeded Generator "
-                    "through instead",
-                )
-                if diag is not None:
-                    yield diag
 
 
 def _reach_findings(
@@ -282,75 +324,57 @@ def _reach_findings(
 
 
 # ----------------------------------------------------------------------
-# RPL9xx — executor-boundary transitivity
+# RPL101 / RPL902 — the executor boundary
 # ----------------------------------------------------------------------
-def _chase_submitted(
-    index: ProjectIndex, graph: CallGraph, summary: ModuleSummary, target: str
-) -> tuple[str, FunctionInfo | None, str] | None:
-    """Resolve a submitted name to its defining module.
-
-    Returns ``(module, function info | None, global kind)``; the
-    function info is ``None`` when the name lands on a non-function
-    module global (e.g. a lambda binding).  ``None`` overall when the
-    name cannot be proven to cross into the index.
-    """
-    parts = target.split(".")
-    root = parts[0]
-    dotted: str | None = None
-    if root in summary.imports:
-        tail = ".".join(parts[1:])
-        dotted = summary.imports[root] + (("." + tail) if tail else "")
-    elif len(parts) > 1:
-        dotted = target
-    if dotted is None:
-        return None
-    resolved = graph.resolve_symbol(dotted)
-    if resolved is not None and resolved[0] == "func":
-        home = index.modules[resolved[1]]
-        return (resolved[1], home.functions[resolved[2]], "function")
-    # Chase to a module-level *global* (a lambda or other binding).
-    chased = dotted
-    for _hop in range(8):
-        segments = chased.split(".")
-        for cut in range(len(segments) - 1, 0, -1):
-            module = ".".join(segments[:cut])
-            home = index.modules.get(module)
-            if home is None:
-                continue
-            name = ".".join(segments[cut:])
-            if name in home.globals:
-                kind = home.globals[name]
-                if kind in ("function", "async_function"):
-                    info = home.functions.get(name)
-                    return (module, info, "function")
-                if name in home.imports:
-                    chased = home.imports[name]
-                    break
-                return (module, None, kind)
-            if name.split(".")[0] in home.imports:
-                head = name.split(".")[0]
-                rest = ".".join(name.split(".")[1:])
-                chased = home.imports[head] + (("." + rest) if rest else "")
-                break
-            return None
-        else:
-            return None
-        continue
+def _submit_problem(
+    index: ProjectIndex, graph: CallGraph, summary: ModuleSummary, submit: SubmitSite
+) -> str | None:
+    """Why ``submit`` cannot cross a process boundary, or ``None``."""
+    remedy = "submit a module-level function"
+    if submit.kind == "lambda":
+        return f"lambda submitted to an executor pool; {remedy}"
+    if submit.kind == "computed":
+        return f"computed callable submitted to an executor pool; {remedy}"
+    if submit.kind == "local":
+        return (
+            f"locally defined callable {submit.target!r} submitted to an "
+            f"executor pool; {remedy}"
+        )
+    if submit.target.startswith(("self.", "cls.")):
+        return None  # a bound method pickles together with its instance
+    landing = graph.resolve_in(summary, submit.target)
+    if landing is None:
+        return None  # not provably inside the index
+    kind, home, name = landing
+    resolves = f"submitted callable {submit.target!r} resolves to {home}.{name}"
+    if kind != "func":
+        binding = index.modules[home].globals.get(name, kind)
+        what = config.PROCESS_LOCAL_GLOBAL_KINDS.get(binding, f"a {binding} binding")
+        return f"{resolves}, {what}, not a def — define a module-level function instead"
+    func = graph.functions[(home, name)]
+    if func.kind != "function":
+        return f"{resolves}, a {func.kind} — workers can only import a module-level function"
+    if func.is_async:
+        return (
+            f"{resolves}, an async def; a pool worker returns the coroutine "
+            "unawaited — submit a synchronous function"
+        )
     return None
 
 
 @register_project
-class SubmittedCallableResolutionRule(ProjectRule):
-    code = "RPL901"
-    title = "submitted callable does not resolve to a module-level def"
+class SubmitDisciplineRule(ProjectRule):
+    code = "RPL101"
+    title = "submitted callable is not a module-level def"
     rationale = (
-        "RPL101 checks the submitting file: the name handed to "
-        "pool.submit must be module-level *there*.  But an imported "
-        "name can still be a lambda, a nested def smuggled out of a "
-        "factory, or an async def in its home module — all of which "
-        "pickle by qualified name and fail (or never run) on the "
-        "worker.  The project index resolves the import chain to the "
-        "defining module and demands an honest module-level def."
+        "ProcessPoolExecutor pickles the submitted callable by qualified "
+        "name and the worker re-imports it.  A lambda, a nested or local "
+        "def, a computed callable — or an imported name that its home "
+        "module binds to a lambda, a method, a nested def or an async def "
+        "— either fails to pickle, drags live index state across the "
+        "boundary, or (async) never runs.  The project index chases each "
+        "submitted name through the import chain to its defining module "
+        "and demands an honest module-level def, in every library module."
     )
 
     def check_project(
@@ -360,59 +384,10 @@ class SubmittedCallableResolutionRule(ProjectRule):
             lambda s: s.in_scope(config.LIBRARY_SCOPE)
         ):
             for submit in info.submits:
-                if submit.kind == "lambda":
-                    # In executors.py this is RPL101's finding.
-                    if summary.in_scope(config.EXECUTORS_SCOPE):
-                        continue
-                    diag = _emit(
-                        summary,
-                        submit.lineno,
-                        submit.col,
-                        self.code,
-                        "lambda submitted to an executor pool; submit a "
-                        "module-level function",
-                    )
-                    if diag is not None:
-                        yield diag
+                message = _submit_problem(index, graph, summary, submit)
+                if message is None:
                     continue
-                if submit.kind != "name" or submit.target.startswith(
-                    ("self.", "cls.")
-                ):
-                    continue
-                chased = _chase_submitted(index, graph, summary, submit.target)
-                if chased is None:
-                    continue
-                home, func, kind = chased
-                if home == summary.module:
-                    continue  # same-file discipline is RPL101's beat
-                if func is None:
-                    description = config.PROCESS_LOCAL_GLOBAL_KINDS.get(kind)
-                    if kind == "lambda":
-                        message = (
-                            f"submitted callable {submit.target!r} resolves to "
-                            f"a lambda binding in {home}; {description} — "
-                            "define a module-level function instead"
-                        )
-                    else:
-                        continue
-                elif func.kind != "function":
-                    message = (
-                        f"submitted callable {submit.target!r} resolves to "
-                        f"{home}.{func.qualname}, a {func.kind} — workers "
-                        "can only import a module-level function"
-                    )
-                elif func.is_async:
-                    message = (
-                        f"submitted callable {submit.target!r} resolves to "
-                        f"async def {home}.{func.qualname}; a pool worker "
-                        "returns the coroutine unawaited — submit a "
-                        "synchronous function"
-                    )
-                else:
-                    continue
-                diag = _emit(
-                    summary, submit.lineno, submit.col, self.code, message
-                )
+                diag = _emit(summary, submit.lineno, submit.col, self.code, message)
                 if diag is not None:
                     yield diag
 
@@ -443,7 +418,7 @@ class SubmittedCallableClosureRule(ProjectRule):
                     ("self.", "cls.")
                 ):
                     continue
-                resolved = self._resolve_target(index, graph, summary, submit.target)
+                resolved = self._resolve_target(graph, summary, submit.target)
                 if resolved is None:
                     continue
                 home_module, func = resolved
@@ -472,15 +447,9 @@ class SubmittedCallableClosureRule(ProjectRule):
 
     @staticmethod
     def _resolve_target(
-        index: ProjectIndex,
-        graph: CallGraph,
-        summary: ModuleSummary,
-        target: str,
+        graph: CallGraph, summary: ModuleSummary, target: str
     ) -> tuple[str, FunctionInfo] | None:
-        # Same-module function first (RPL902 patrols both directions).
-        if target in summary.functions:
-            return (summary.module, summary.functions[target])
-        chased = _chase_submitted(index, graph, summary, target)
-        if chased is None or chased[1] is None:
+        landing = graph.resolve_in(summary, target)
+        if landing is None or landing[0] != "func":
             return None
-        return (chased[0], chased[1])
+        return (landing[1], graph.functions[(landing[1], landing[2])])

@@ -1,13 +1,11 @@
-"""The repro-lint rule catalogue.
+"""The per-file repro-lint rules: contracts one file's AST can decide.
 
 Each rule encodes one repo contract (see ``docs/static-analysis.md`` for
-the narrative catalogue):
+the narrative catalogue).  The determinism and executor-submission
+contracts (RPL001, RPL003, RPL101) need the call graph and live in
+:mod:`tools.repro_lint.project_rules`.
 
 =======  ==============================================================
-RPL001   no numpy global-RNG use; ``default_rng`` must be seeded
-RPL002   no stdlib ``random`` in the deterministic core
-RPL003   no wall-clock reads in the deterministic core (whitelist)
-RPL101   only module-level callables cross the executor boundary
 RPL102   shared-memory views must be made read-only
 RPL201   overlap predicates go through counted geometry helpers
 RPL202   ``JoinStatistics`` fields written only via recording methods
@@ -24,210 +22,7 @@ import ast
 from collections.abc import Iterator
 
 from tools.repro_lint import config
-from tools.repro_lint.core import Diagnostic, FileContext, Rule, register, walk_scoped
-
-
-def _is_np_random(node: ast.expr) -> bool:
-    """True for expressions spelling ``np.random`` / ``numpy.random``."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == "random"
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("np", "numpy")
-    )
-
-
-@register
-class NumpyGlobalRandomRule(Rule):
-    code = "RPL001"
-    title = "numpy global RNG"
-    rationale = (
-        "Module-level numpy randomness (np.random.rand, np.random.seed, ...) "
-        "drives a hidden global RandomState: results then depend on call "
-        "order across the whole process, which breaks the bit-reproducibility "
-        "the parallel executors promise.  Randomness must flow from a seeded "
-        "numpy.random.Generator, as in repro.datasets."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
-                for alias in node.names:
-                    if alias.name not in config.NP_RANDOM_ALLOWED:
-                        yield ctx.diagnostic(
-                            node,
-                            self.code,
-                            f"import of legacy numpy.random.{alias.name}; use a "
-                            "seeded Generator (numpy.random.default_rng(seed))",
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not (isinstance(func, ast.Attribute) and _is_np_random(func.value)):
-                    continue
-                if func.attr not in config.NP_RANDOM_ALLOWED:
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"np.random.{func.attr}() uses the hidden global RNG; "
-                        "use a seeded Generator (np.random.default_rng(seed))",
-                    )
-                elif func.attr == "default_rng" and not node.args and not node.keywords:
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        "np.random.default_rng() without a seed is entropy-seeded "
-                        "and nondeterministic; pass an explicit seed",
-                    )
-
-
-@register
-class StdlibRandomRule(Rule):
-    code = "RPL002"
-    title = "stdlib random in deterministic core"
-    rationale = (
-        "repro.core / repro.joins / repro.geometry must be pure functions of "
-        "their inputs: the stdlib random module (global Mersenne Twister, "
-        "hash-seeded) has no place there.  Randomness belongs to callers and "
-        "arrives as a seed or Generator parameter."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not ctx.in_scope(config.DETERMINISTIC_SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield ctx.diagnostic(
-                            node,
-                            self.code,
-                            "stdlib random imported in the deterministic core; "
-                            "take a seeded numpy Generator parameter instead",
-                        )
-            elif isinstance(node, ast.ImportFrom) and (
-                node.module == "random" or (node.module or "").startswith("random.")
-            ):
-                yield ctx.diagnostic(
-                    node,
-                    self.code,
-                    "stdlib random imported in the deterministic core; "
-                    "take a seeded numpy Generator parameter instead",
-                )
-
-
-@register
-class WallClockRule(Rule):
-    code = "RPL003"
-    title = "wall-clock read in deterministic core"
-    rationale = (
-        "time.time()/perf_counter() inside the grids, joins or geometry make "
-        "behaviour depend on machine speed (e.g. time-based tuning decisions "
-        "would diverge between serial and parallel runs).  Timing belongs to "
-        "the engine/obs layers; the explicit whitelist covers instrumentation "
-        "whose *output* is the measured wall time."
-    )
-
-    def _whitelisted(self, ctx: FileContext, qualname: str) -> bool:
-        return any(
-            pattern in ctx.resolved
-            and (qualname == scope or qualname.startswith(scope + "."))
-            for (pattern, scope), _why in config.TIMING_WHITELIST.items()
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not ctx.in_scope(config.DETERMINISTIC_SCOPE):
-            return
-        # Names imported straight off the time module, e.g.
-        # ``from time import perf_counter``.
-        bare_clocks: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in config.WALL_CLOCK_FUNCTIONS:
-                        bare_clocks.add(alias.asname or alias.name)
-        for node, qualname in walk_scoped(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            clock: str | None = None
-            if (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "time"
-                and func.attr in config.WALL_CLOCK_FUNCTIONS
-            ):
-                clock = f"time.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in bare_clocks:
-                clock = func.id
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in config.DATETIME_NOW_FUNCTIONS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("datetime", "date")
-            ):
-                clock = f"{func.value.id}.{func.attr}"
-            if clock is None or self._whitelisted(ctx, qualname):
-                continue
-            yield ctx.diagnostic(
-                node,
-                self.code,
-                f"{clock}() read inside the deterministic core; move timing to "
-                "the engine/obs layer or whitelist the instrumentation site",
-            )
-
-
-@register
-class ExecutorSubmissionRule(Rule):
-    code = "RPL101"
-    title = "non-module-level callable submitted to a pool"
-    rationale = (
-        "ProcessPoolExecutor pickles the submitted callable: lambdas, nested "
-        "functions and bound closures either fail outright or silently drag "
-        "live index state across the boundary.  Only module-level callables "
-        "may be submitted from repro.engine.executors."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if not ctx.in_scope(config.EXECUTORS_SCOPE):
-            return
-        module_callables: set[str] = set()
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                module_callables.add(node.name)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    module_callables.add(alias.asname or alias.name.split(".")[0])
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-                and node.args
-            ):
-                continue
-            target = node.args[0]
-            if isinstance(target, ast.Lambda):
-                yield ctx.diagnostic(
-                    target,
-                    self.code,
-                    "lambda submitted to an executor pool; submit a "
-                    "module-level function",
-                )
-            elif isinstance(target, ast.Name):
-                if target.id not in module_callables:
-                    yield ctx.diagnostic(
-                        target,
-                        self.code,
-                        f"locally defined callable {target.id!r} submitted to an "
-                        "executor pool; submit a module-level function",
-                    )
-            elif not isinstance(target, ast.Attribute):
-                yield ctx.diagnostic(
-                    target,
-                    self.code,
-                    "computed callable submitted to an executor pool; submit a "
-                    "module-level function",
-                )
+from tools.repro_lint.core import Diagnostic, FileContext, Rule, register
 
 
 @register
