@@ -84,10 +84,12 @@ _OPS_RESULT = 0.05
 class TGridCellsTask(JoinTask):
     """Internal join of the dense cells through a throw-away T-Grid.
 
-    The T-Grid object accumulates diagnostics (``fallbacks``,
-    ``peak_cells``) across the step, so this stays one task and is not
-    ``process_safe`` — the process executor runs it inline in the parent
-    while the pure-array tasks are out on the pool.
+    One vectorised pass plans the T-Grids of all the step's dense cells,
+    then the combined kernels join them.  The T-Grid object accumulates
+    diagnostics (``fallbacks``, ``peak_cells``) across the step, so this
+    stays one task and is not ``process_safe`` — the process executor
+    runs it inline in the parent while the pure-array tasks are out on
+    the pool.
     """
 
     phase = "internal"
