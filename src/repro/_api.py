@@ -16,7 +16,6 @@ from repro.datasets.io import load_dataset, save_dataset
 from repro.core import (
     HillClimbingTuner,
     PGrid,
-    PGridCell,
     TGrid,
     ThermalJoin,
 )
@@ -66,7 +65,6 @@ from repro.simulation import (
 __all__ = [
     "ThermalJoin",
     "PGrid",
-    "PGridCell",
     "TGrid",
     "HillClimbingTuner",
     "JoinResult",

@@ -1,16 +1,13 @@
-"""P-Grid cell records and cell-identifier packing.
+"""Cell-identifier packing and neighbour offsets for the P-Grid.
 
-THERMAL-JOIN's primary grid stores one record per *non-empty* cell
-(Figure 3 of the paper): the cell identifier, the cell MBR, the smallest
-object MBR assigned to the cell (for the hot-spot test), the cell age
-(for garbage collection), the object list and the hyperlinks to the
-neighbouring cells considered by the external join.
-
-Cell identifiers pack the three integer grid coordinates into a single
-``int64`` (21 bits per dimension, biased to allow negative coordinates),
-which lets the build phase group all objects with one vectorised sort
-instead of millions of Python-level hash insertions — the moral
-equivalent of the paper's ``calculateCellID``.
+THERMAL-JOIN's primary grid keeps only the *non-empty* cells (Figure 3
+of the paper).  Cell identifiers pack the three integer grid coordinates
+into a single ``int64`` (21 bits per dimension, biased to allow negative
+coordinates), which lets the build phase group all objects with one
+vectorised sort instead of millions of Python-level hash insertions —
+the moral equivalent of the paper's ``calculateCellID``.  The P-Grid
+stores its cells as one sorted id array and finds a cell's neighbours
+by binary search for :func:`neighbor_cell_ids`.
 """
 
 from __future__ import annotations
@@ -21,10 +18,8 @@ __all__ = [
     "COORD_BITS",
     "COORD_BIAS",
     "pack_cell_ids",
-    "pack_cell_id_scalar",
-    "unpack_cell_id",
     "unpack_cell_ids",
-    "PGridCell",
+    "neighbor_cell_ids",
     "half_neighborhood_offsets",
 ]
 
@@ -57,27 +52,28 @@ def pack_cell_ids(coords: np.ndarray) -> np.ndarray:
     )
 
 
-def pack_cell_id_scalar(x: int, y: int, z: int) -> int:
-    """Scalar (pure-Python-int) variant of :func:`pack_cell_ids`.
+def neighbor_cell_ids(coords: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Packed ids of the cells at ``coords + offsets``; -1 off the grid.
 
-    Used on the hyperlink wiring path where per-offset numpy calls would
-    dominate; no range validation (the vectorised pass already validated
-    the occupied coordinates, and neighbour offsets stay in range).
+    Both arguments hold ``(x, y, z)`` on their last axis and broadcast
+    over the others: ``(n, 3)`` cells against ``(k, 1, 3)`` offsets give
+    a ``(k, n)`` table whose row ``j`` lists every cell's neighbour at
+    offset ``j``.
+
+    A neighbour outside ``[-2^20, 2^20)`` cannot be packed: validation
+    would raise and unvalidated packing would carry into the next
+    coordinate's bits.  It maps to -1 instead, which equals no packed id
+    (those are non-negative), so a lookup simply misses it.
     """
-    return (
-        ((x + COORD_BIAS) << (2 * COORD_BITS))
-        | ((y + COORD_BIAS) << COORD_BITS)
-        | (z + COORD_BIAS)
-    )
-
-
-def unpack_cell_id(cell_id: int) -> tuple[int, int, int]:
-    """Invert :func:`pack_cell_ids` for a single identifier."""
-    cell_id = int(cell_id)
-    x = ((cell_id >> (2 * COORD_BITS)) & _COORD_MASK) - COORD_BIAS
-    y = ((cell_id >> COORD_BITS) & _COORD_MASK) - COORD_BIAS
-    z = (cell_id & _COORD_MASK) - COORD_BIAS
-    return x, y, z
+    coords = np.asarray(coords, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    # One broadcast per dimension: no (k, n, 3) block, no reduction
+    # over its short last axis.
+    x, y, z = (coords[..., d] + (offsets[..., d] + COORD_BIAS) for d in range(3))
+    # A biased coordinate is packable iff no bit above its field is set;
+    # a negative one has them all set.
+    inside = ((x | y | z) >> COORD_BITS) == 0
+    return np.where(inside, (x << (2 * COORD_BITS)) | (y << COORD_BITS) | z, -1)
 
 
 def unpack_cell_ids(cell_ids: np.ndarray) -> np.ndarray:
@@ -112,106 +108,3 @@ def half_neighborhood_offsets(layers: int | np.ndarray) -> list[tuple[int, int, 
                 if (dx, dy, dz) > (0, 0, 0):
                     offsets.append((dx, dy, dz))
     return offsets
-
-
-class PGridCell:
-    """One non-empty P-Grid cell (the record of the paper's Figure 3).
-
-    Attributes
-    ----------
-    coords:
-        Integer grid coordinates ``(ix, iy, iz)``.
-    lo, hi:
-        The cell's half-open spatial extent ``[lo, hi)``.
-    object_idx:
-        ``int64`` array of dataset indices assigned to this cell (objects
-        whose *center* lies in the cell), sorted ascending by the
-        objects' lower x bound so the external join can plane-sweep
-        without re-sorting.
-    min_obj_width, max_obj_width:
-        Per-dimension minimum / maximum widths over the assigned objects;
-        the minimum drives the hot-spot test and the T-Grid resolution,
-        the maximum drives the T-Grid neighbour layer count.
-    center_lo, center_hi:
-        Tight bounds of the assigned objects' centers.  Used by the
-        external join's enclosure shortcut (an object MBR containing all
-        of a cell's centers overlaps every object of the cell) and by
-        the hot-spot test (center spread strictly below the smallest
-        member width guarantees pairwise overlap).
-    age:
-        Number of consecutive refreshes this cell has been vacant (0
-        while occupied); the garbage collector prunes old vacant cells.
-        Derived lazily from the grid's shared refresh clock and the
-        epoch recorded when the cell was vacated, so per-step
-        maintenance never touches already-vacant cells just to age them.
-    hyperlinks:
-        Direct references to the existing cells in this cell's half
-        neighbourhood, so the join phase never performs hash lookups.
-    """
-
-    __slots__ = (
-        "coords",
-        "lo",
-        "hi",
-        "object_idx",
-        "min_obj_width",
-        "max_obj_width",
-        "center_lo",
-        "center_hi",
-        "vacant_at",
-        "_clock",
-        "hyperlinks",
-        "slot",
-    )
-
-    def __init__(
-        self,
-        coords: tuple[int, int, int],
-        lo: np.ndarray,
-        hi: np.ndarray,
-        clock: list[int] | None = None,
-    ) -> None:
-        self.coords = coords
-        self.lo = lo
-        self.hi = hi
-        self.object_idx = None
-        self.min_obj_width = None
-        self.max_obj_width = None
-        self.center_lo = None
-        self.center_hi = None
-        #: Refresh epoch at which the cell was vacated (None while occupied).
-        self.vacant_at = None
-        #: Shared one-element list holding the grid's refresh epoch
-        #: (None for standalone cells, whose age stays 0).
-        self._clock = clock
-        self.hyperlinks = []
-        #: Position in the grid's current ``occupied`` list (-1 if vacant);
-        #: lets the batched join translate hyperlinks into array slots.
-        self.slot = -1
-
-    @property
-    def is_vacant(self) -> bool:
-        """True when no objects are currently assigned."""
-        return self.object_idx is None or self.object_idx.size == 0
-
-    @property
-    def age(self) -> int:
-        """Refreshes spent vacant: the vacating refresh counts as 1."""
-        if self.vacant_at is None or self._clock is None:
-            return 0
-        return self._clock[0] - self.vacant_at + 1
-
-    def clear(self) -> None:
-        """Drop the object assignment (incremental maintenance, §4.3.1)."""
-        self.object_idx = None
-        self.min_obj_width = None
-        self.max_obj_width = None
-        self.center_lo = None
-        self.center_hi = None
-        self.slot = -1
-        if self._clock is not None:
-            self.vacant_at = self._clock[0]
-
-    def __repr__(self) -> str:
-        n = 0 if self.object_idx is None else self.object_idx.size
-        return f"PGridCell(coords={self.coords}, n={n}, age={self.age})"

@@ -1,21 +1,28 @@
-"""The P-Grid: THERMAL-JOIN's persistent linked-hash uniform grid.
+"""The P-Grid: THERMAL-JOIN's persistent uniform grid, held as sorted arrays.
 
 Implements Algorithm 1 and Section 4.3.1 of the paper:
 
 * **Build** — every object is assigned to the (single) cell containing
-  its *center*; only non-empty cells are materialised in a hash table;
-  each cell's object list is sorted by the objects' lower x bound; and
-  *hyperlinks* (direct references) are wired to the existing cells of
-  the half neighbourhood so the join phase never pays hash lookups.
+  its *center*; only non-empty cells exist, as entries of a sorted table
+  of packed cell ids; each cell's object list is sorted by the objects'
+  lower x bound.
+* **Neighbours** — the paper wires *hyperlinks* from each cell to the
+  existing cells of its half neighbourhood so that a pointer-based join
+  never pays a hash lookup.  This join runs on whole-grid arrays
+  instead, so the links are not materialised:
+  :meth:`PGrid.neighbor_pairs` builds each cell's neighbour ids for all
+  half-neighbourhood offsets as one table and finds them with one
+  binary search of the sorted occupied ids.  The link count still
+  enters the Figure 3 footprint model.
 * **Incremental maintenance** — on subsequent steps the grid is not
-  discarded: cells are recycled, object lists are re-assigned, cells
-  whose population migrated away become *vacant* (their structure kept
-  for future reuse) and age each step.
+  discarded: cells are recycled, and cells whose population migrated
+  away become *vacant* (kept in the table for future reuse) and age
+  each step.
 * **Garbage collection** — when vacant cells exceed a threshold fraction
-  (the paper's policy: 35 % of all cells) the vacant cells are pruned
-  and the hyperlinks referencing them dissolved.
+  (the paper's policy: 35 % of all cells) they are dropped from the
+  table.
 
-The number of neighbour layers linked per cell follows Section 4.2.1:
+The number of neighbour layers per cell follows Section 4.2.1:
 ``ceil(largest object width / cell width)`` — one layer (13 half
 neighbours in 3-D) when the cell width equals the largest object width
 (Figure 4a), more when the cells are finer (Figure 4b).
@@ -24,17 +31,20 @@ neighbours in 3-D) when the cell width equals the largest object width
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.cells import (
-    PGridCell,
     half_neighborhood_offsets,
-    pack_cell_id_scalar,
+    neighbor_cell_ids,
     pack_cell_ids,
-    unpack_cell_id,
+    unpack_cell_ids,
 )
 from repro.joins.base import ID_BYTES, MBR_BYTES, POINTER_BYTES
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 __all__ = ["PGrid"]
 
@@ -43,10 +53,23 @@ __all__ = ["PGrid"]
 CELL_RECORD_BYTES = ID_BYTES + MBR_BYTES + MBR_BYTES + 8 + 16 + 16
 
 
+#: Most neighbour ids (cells x half-neighbourhood offsets) looked up in
+#: one batch by :meth:`PGrid.neighbor_pairs` and the link count.
+_BATCH = 1 << 17
+
+
 def _bucket_count(n_cells: int) -> int:
     """Power-of-two hash bucket count at a 0.75 target load factor."""
     need = max(8, int(n_cells / 0.75) + 1)
     return 1 << (need - 1).bit_length()
+
+
+def _find(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each id in the sorted ``table``, -1 where absent."""
+    if not table.size:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(table, ids), table.size - 1)
+    return np.where(table[pos] == ids, pos, -1)
 
 
 class PGrid:
@@ -65,6 +88,10 @@ class PGrid:
     gc_threshold:
         Vacant-cell fraction that triggers garbage collection (paper
         default 0.35).
+
+    The occupied cells are numbered by *slot*: ascending packed id,
+    which is the order of ``occupied_ids`` and of every per-cell array
+    kept by :meth:`refresh`.
     """
 
     def __init__(
@@ -82,13 +109,14 @@ class PGrid:
         if self.origin.shape != (3,):
             raise ValueError(f"origin must be a 3-vector, got {self.origin.shape}")
         self.gc_threshold = float(gc_threshold)
-        #: packed cell id -> PGridCell (the linked-hash table).
-        self.cells: dict[int, PGridCell] = {}
-        #: Cells with at least one object after the last refresh.
-        self.occupied: list[PGridCell] = []
-        # Stacked per-occupied-cell arrays (aligned with ``occupied``),
-        # retained by refresh() so the batched join phase can work on
-        # whole-grid arrays instead of per-cell slices:
+        #: Sorted packed ids of every table cell, occupied or vacant.
+        self.cell_ids = np.empty(0, dtype=np.int64)
+        #: Aligned with ``cell_ids``: the refresh epoch at which the cell
+        #: was vacated, -1 while it is occupied.
+        self.vacant_at = np.empty(0, dtype=np.int64)
+        #: Packed ids of the occupied cells, one per slot.
+        self.occupied_ids = np.empty(0, dtype=np.int64)
+        # Per-slot arrays retained by refresh() for the batched join:
         #: all object indices, grouped by cell and x-sorted within cells.
         self.cat: np.ndarray | None = None
         #: per-cell [start, stop) ranges into ``cat``.
@@ -100,19 +128,17 @@ class PGrid:
         #: per-cell tight center bounds.
         self.cell_center_lo: np.ndarray | None = None
         self.cell_center_hi: np.ndarray | None = None
-        #: Neighbour layers wired into the hyperlinks (set on first build).
+        #: Neighbour layers of the half neighbourhood (set on first build).
         self.layers: int | None = None
-        #: packed cell id -> vacant PGridCell.  Maintained on the vacancy
-        #: transitions themselves, so refresh and GC touch only occupied
-        #: and *newly* vacant cells — never the whole table.
-        self._vacant_cells: dict[int, PGridCell] = {}
-        #: Shared refresh epoch (one-element list so cells can read it);
-        #: vacant-cell ages derive from it lazily instead of a per-step
-        #: aging sweep over every cell.
-        self._clock = [0]
-        # Incrementally maintained totals backing the O(1) footprint.
+        #: Refresh epoch.  A vacant cell's age is ``clock - vacant_at + 1``
+        #: (the vacating refresh counts as 1), so aging needs no per-step
+        #: sweep over the vacant cells.
+        self.clock = 0
+        # Totals backing the O(1) footprint.
         self._n_objects = 0
-        self._n_hyperlinks = 0
+        #: Figure 3 link count: pairs ``(P, P + o)`` of table cells, ``o``
+        #: a half-neighbourhood offset.
+        self._n_links = 0
         # Lifetime counters (exposed through ThermalJoin statistics).
         self.cells_created = 0
         self.cells_recycled = 0
@@ -121,7 +147,7 @@ class PGrid:
     @property
     def n_vacant(self) -> int:
         """Number of currently vacant (structure-kept) cells."""
-        return len(self._vacant_cells)
+        return int(np.count_nonzero(self.vacant_at >= 0))
 
     # ------------------------------------------------------------------
     # Building and refreshing
@@ -142,8 +168,8 @@ class PGrid:
         xlo: np.ndarray,
         widths: np.ndarray,
         max_object_width: float,
-    ) -> list[PGridCell]:
-        """Assign all objects to cells, recycling structure where possible.
+    ) -> None:
+        """Assign all objects to cells, recycling table cells where possible.
 
         Parameters
         ----------
@@ -160,96 +186,40 @@ class PGrid:
         The first call builds from scratch; later calls reuse cells per
         Section 4.3.1.  If the required layer count changed (object
         extents changed), the grid is rebuilt from scratch since the
-        hyperlink structure is no longer valid.
+        neighbourhood the table was counted under no longer applies.
         """
         layers = self.required_layers(max_object_width)
         if self.layers is not None and layers != self.layers:
             self.clear()
         self.layers = layers
-        self._clock[0] += 1
+        self.clock += 1
+        self._assign(centers, xlo, widths)
 
-        (
-            coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        ) = self._group(centers, xlo, widths)
-        self.cat = order
-        self.cell_starts = starts
-        self.cell_stops = stops
-        self.cell_min_width = min_widths
-        self.cell_max_width = max_widths
-        self.cell_center_lo = center_lo
-        self.cell_center_hi = center_hi
+        found = _find(self.cell_ids, self.occupied_ids)
+        known = found >= 0
+        self.cells_recycled += int(np.count_nonzero(known))
+        # Cells that lost their population become vacant now; cells
+        # already vacant keep their epoch (their age is clock-derived).
+        still_occupied = np.zeros(self.cell_ids.size, dtype=bool)
+        still_occupied[found[known]] = True
+        self.vacant_at[(self.vacant_at < 0) & ~still_occupied] = self.clock
+        self.vacant_at[still_occupied] = -1
 
-        previously_occupied = self.occupied
-        self.occupied = []
-        new_cells = []
-        touched = set()
-        offsets = half_neighborhood_offsets(self.layers)
-        width_vec = np.full(3, self.cell_width)
-
-        for k in range(starts.size):
-            start = int(starts[k])
-            cell_id = int(sorted_packed[start])
-            touched.add(cell_id)
-            cell = self.cells.get(cell_id)
-            if cell is None:
-                cell_coords = tuple(int(c) for c in coords[order[start]])
-                lo = self.origin + np.asarray(cell_coords, dtype=np.float64) * self.cell_width
-                cell = PGridCell(cell_coords, lo, lo + width_vec, clock=self._clock)
-                self.cells[cell_id] = cell
-                new_cells.append((cell_id, cell))
-                self.cells_created += 1
-            else:
-                if cell.is_vacant:
-                    self._vacant_cells.pop(cell_id, None)
-                self.cells_recycled += 1
-            cell.object_idx = order[start:int(stops[k])]
-            cell.min_obj_width = min_widths[k]
-            cell.max_obj_width = max_widths[k]
-            cell.center_lo = center_lo[k]
-            cell.center_hi = center_hi[k]
-            cell.vacant_at = None
-            cell.slot = k
-            self.occupied.append(cell)
-        self._n_objects = int(sorted_packed.size)
-
-        # Cells whose population migrated away become (or remain) vacant;
-        # already-vacant cells need no touch — their age is clock-derived.
-        for cell in previously_occupied:
-            cell_id = self._cell_key(cell)
-            if cell_id not in touched and not cell.is_vacant:
-                cell.clear()
-                self._vacant_cells[cell_id] = cell
-
-        self._wire_hyperlinks(new_cells, offsets)
+        new_ids = self.occupied_ids[~known]
+        if new_ids.size:
+            self.cells_created += int(new_ids.size)
+            at = np.searchsorted(self.cell_ids, new_ids)
+            self.cell_ids = np.insert(self.cell_ids, at, new_ids)
+            self.vacant_at = np.insert(self.vacant_at, at, -1)
+            self._n_links += self._links_touching(new_ids)
         self.garbage_collect_if_needed()
-        return self.occupied
 
-    def _group(
-        self, centers: np.ndarray, xlo: np.ndarray, widths: np.ndarray
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-    ]:
-        """Vectorised cell grouping: the pure part of :meth:`refresh`.
+    def _assign(self, centers: np.ndarray, xlo: np.ndarray, widths: np.ndarray) -> None:
+        """Vectorised cell grouping: the per-slot arrays and occupied ids.
 
         Deterministic given (centers, xlo, widths, origin, cell_width);
         shared by :meth:`refresh` and the checkpoint-restore path
-        (:meth:`_reassign`) so both produce identical group order and
+        (:meth:`from_state`) so both produce identical slot order and
         per-cell aggregates.
         """
         coords = np.floor((centers - self.origin) / self.cell_width).astype(np.int64)
@@ -276,54 +246,80 @@ class PGrid:
         else:
             min_widths = max_widths = np.empty((0, 3))
             center_lo = center_hi = np.empty((0, 3))
-        return (
-            coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        )
+        self.occupied_ids = sorted_packed[starts]
+        self.cat = order
+        self.cell_starts = starts
+        self.cell_stops = stops
+        self.cell_min_width = min_widths
+        self.cell_max_width = max_widths
+        self.cell_center_lo = center_lo
+        self.cell_center_hi = center_hi
+        self._n_objects = int(n)
 
-    def _cell_key(self, cell: PGridCell) -> int:
-        return pack_cell_id_scalar(*cell.coords)
+    # ------------------------------------------------------------------
+    # Neighbours
+    # ------------------------------------------------------------------
+    def _neighbor_blocks(
+        self, ids: np.ndarray, sign: int
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, neighbours)`` over consecutive blocks of ``ids``.
 
-    def _wire_hyperlinks(
-        self,
-        new_cells: list[tuple[int, PGridCell]],
-        offsets: list[tuple[int, int, int]],
-    ) -> None:
-        """Link each new cell into the half-neighbourhood structure.
-
-        For a new cell ``C`` and each half offset ``o``: an existing cell
-        at ``C + o`` becomes one of ``C``'s hyperlinks, and a *pre-existing*
-        cell at ``C - o`` gains a hyperlink to ``C`` (new cells at ``C - o``
-        link ``C`` themselves when their own ``+o`` scan runs, so each
-        unordered cell pair is linked exactly once).
+        ``neighbours[k, i]`` is the packed id of the cell at cell
+        ``ids[rows][i]`` plus ``sign`` times half-neighbourhood offset
+        ``k``, -1 off the grid.  Offset-major, so each row is as sorted
+        as ``ids`` and the binary searches walk the table in order.
+        Blocks hold at most :data:`_BATCH` ids in all, so however fine
+        the grid the lookups stay a few MB.
         """
-        if not new_cells:
-            return
-        new_ids = {cell_id for cell_id, _cell in new_cells}
-        cells = self.cells
-        wired = 0
-        for _cell_id, cell in new_cells:
-            cx, cy, cz = cell.coords
-            links = cell.hyperlinks
-            for ox, oy, oz in offsets:
-                neighbor = cells.get(pack_cell_id_scalar(cx + ox, cy + oy, cz + oz))
-                if neighbor is not None:
-                    links.append(neighbor)
-                    wired += 1
-                back = pack_cell_id_scalar(cx - ox, cy - oy, cz - oz)
-                if back not in new_ids:
-                    neighbor = cells.get(back)
-                    if neighbor is not None:
-                        neighbor.hyperlinks.append(cell)
-                        wired += 1
-        self._n_hyperlinks += wired
+        offsets = sign * np.asarray(half_neighborhood_offsets(self.layers), dtype=np.int64)
+        step = max(1, _BATCH // len(offsets))
+        for first in range(0, ids.size, step):
+            rows = slice(first, first + step)
+            yield rows, neighbor_cell_ids(unpack_cell_ids(ids[rows]), offsets[:, None])
+
+    def neighbor_pairs(
+        self, slots: np.ndarray, sign: int = 1
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Occupied neighbours of the cells at ``slots`` (ascending).
+
+        Returns ``(a, b, k)``: the cell of slot ``b`` lies at the cell of
+        slot ``a`` plus ``sign`` times half-neighbourhood offset ``k``.
+        Rows are ordered by ``(a, k)``.  With ``sign=1`` over all slots
+        these are the paper's hyperlinks between occupied cells, each
+        adjacent pair once; ``sign=-1`` gives the mirrored half.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        found_a, found_b, found_k = [empty], [empty], [empty]
+        for rows, ahead in self._neighbor_blocks(self.occupied_ids[slots], sign):
+            # Transposed to (slot, offset), the hits come out in that order.
+            found = _find(self.occupied_ids, ahead).T
+            slot_at, k_at = np.nonzero(found >= 0)
+            found_a.append(slots[rows][slot_at])
+            found_b.append(found[slot_at, k_at])
+            found_k.append(k_at)
+        return np.concatenate(found_a), np.concatenate(found_b), np.concatenate(found_k)
+
+    def _links_touching(self, ids: np.ndarray) -> int:
+        """Figure 3 links of the table with at least one end in ``ids``.
+
+        ``ids`` is a sorted subset of ``cell_ids``.  A link ``(P, P + o)``
+        is counted at ``P`` when ``P`` is in ``ids``, else at ``P + o``.
+        """
+        count = 0
+        for _rows, ahead in self._neighbor_blocks(ids, 1):
+            count += int(np.count_nonzero(_find(self.cell_ids, ahead) >= 0))
+        for _rows, behind in self._neighbor_blocks(ids, -1):
+            count += int(
+                np.count_nonzero((_find(self.cell_ids, behind) >= 0) & (_find(ids, behind) < 0))
+            )
+        return count
+
+    def cell_bounds(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spatial extent ``[lo, hi)`` of the occupied cells at ``slots``."""
+        coords = unpack_cell_ids(self.occupied_ids[slots]).astype(np.float64)
+        lo = self.origin + coords * self.cell_width
+        return lo, lo + self.cell_width
 
     # ------------------------------------------------------------------
     # Garbage collection
@@ -333,36 +329,28 @@ class PGrid:
 
         Returns the number of cells collected (0 when below threshold).
         """
-        total = len(self.cells)
-        if total == 0 or self.n_vacant <= self.gc_threshold * total:
+        total = self.cell_ids.size
+        vacant = self.vacant_at >= 0
+        collected = int(np.count_nonzero(vacant))
+        if total == 0 or collected <= self.gc_threshold * total:
             return 0
-        vacant_set = set(map(id, self._vacant_cells.values()))
-        removed_links = 0
-        for cell_id, cell in self._vacant_cells.items():
-            removed_links += len(cell.hyperlinks)
-            del self.cells[cell_id]
-        # Dissolve hyperlinks from surviving cells to collected ones.
-        for cell in self.cells.values():
-            if cell.hyperlinks:
-                kept = [link for link in cell.hyperlinks if id(link) not in vacant_set]
-                removed_links += len(cell.hyperlinks) - len(kept)
-                cell.hyperlinks = kept
-        collected = len(self._vacant_cells)
-        self._vacant_cells = {}
-        self._n_hyperlinks -= removed_links
+        self._n_links -= self._links_touching(self.cell_ids[vacant])
+        self.cell_ids = self.cell_ids[~vacant]
+        self.vacant_at = self.vacant_at[~vacant]
         self.gc_runs += 1
         return collected
 
     def clear(self) -> None:
         """Drop the whole grid (used when the resolution is re-tuned).
 
-        Resets the cell table *and* the stacked batched arrays retained
-        by :meth:`refresh` — a stale ``cat``/``cell_starts`` pairing with
-        an empty cell table would let a batched consumer read assignments
+        Resets the cell table *and* the per-slot arrays retained by
+        :meth:`refresh` — a stale ``cat``/``cell_starts`` pairing with an
+        empty cell table would let a batched consumer read assignments
         from the dropped grid generation.
         """
-        self.cells = {}
-        self.occupied = []
+        self.cell_ids = np.empty(0, dtype=np.int64)
+        self.vacant_at = np.empty(0, dtype=np.int64)
+        self.occupied_ids = np.empty(0, dtype=np.int64)
         self.cat = None
         self.cell_starts = None
         self.cell_stops = None
@@ -371,9 +359,8 @@ class PGrid:
         self.cell_center_lo = None
         self.cell_center_hi = None
         self.layers = None
-        self._vacant_cells = {}
         self._n_objects = 0
-        self._n_hyperlinks = 0
+        self._n_links = 0
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -382,38 +369,23 @@ class PGrid:
         """Structural snapshot: (arrays, meta) for the checkpoint format.
 
         The grid cannot be rebuilt from scratch on restore: a fresh build
-        re-creates every cell (spiking ``cells_created``, which feeds the
-        tuner's operation cost model) and wires hyperlinks in a different
-        direction (changing cell-pair task roles and thus overlap-test
-        counts).  Instead the *structure* is serialized — cell identity
-        and vacancy in table insertion order plus the directed hyperlink
-        edges in per-cell list order — and the per-cell object
-        assignments are recomputed deterministically from the dataset by
-        :meth:`_reassign`.
+        re-creates every cell, spiking ``cells_created`` (an input of the
+        tuner's operation cost model) and forgetting which vacant cells
+        the table still holds (the footprint and the GC trigger).  So the
+        table itself is serialized — cell ids and vacancy epochs — and
+        everything else is derived on restore: the per-slot arrays by
+        regrouping the dataset, the link count from the table.
         """
-        index = {id(cell): k for k, cell in enumerate(self.cells.values())}
-        cell_ids = np.fromiter(self.cells.keys(), dtype=np.int64, count=len(self.cells))
-        vacant_at = np.full(len(self.cells), -1, dtype=np.int64)
-        link_src: list[int] = []
-        link_dst: list[int] = []
-        for k, cell in enumerate(self.cells.values()):
-            if cell.vacant_at is not None:
-                vacant_at[k] = cell.vacant_at
-            for link in cell.hyperlinks:
-                link_src.append(k)
-                link_dst.append(index[id(link)])
         arrays = {
-            "cell_ids": cell_ids,
-            "vacant_at": vacant_at,
-            "link_src": np.asarray(link_src, dtype=np.int64),
-            "link_dst": np.asarray(link_dst, dtype=np.int64),
+            "cell_ids": self.cell_ids.copy(),
+            "vacant_at": self.vacant_at.copy(),
         }
         meta: dict[str, object] = {
             "cell_width": self.cell_width,
             "origin": [float(c) for c in self.origin],
             "gc_threshold": self.gc_threshold,
             "layers": self.layers,
-            "clock": self._clock[0],
+            "clock": self.clock,
             "cells_created": self.cells_created,
             "cells_recycled": self.cells_recycled,
             "gc_runs": self.gc_runs,
@@ -431,9 +403,9 @@ class PGrid:
     ) -> PGrid:
         """Rebuild a grid from :meth:`snapshot_state` plus the dataset.
 
-        Raises :class:`ValueError` when the checkpointed structure does
-        not match the dataset's current cell occupancy (wrong dataset,
-        or a snapshot taken at a different step).
+        Raises :class:`ValueError` when the checkpointed table does not
+        match the dataset's current cell occupancy (wrong dataset, or a
+        snapshot taken at a different step).
         """
         grid = cls(
             float(meta["cell_width"]),  # type: ignore[arg-type]
@@ -442,84 +414,31 @@ class PGrid:
         )
         layers = meta["layers"]
         grid.layers = None if layers is None else int(layers)  # type: ignore[call-overload]
-        grid._clock[0] = int(meta["clock"])  # type: ignore[call-overload]
+        grid.clock = int(meta["clock"])  # type: ignore[call-overload]
         grid.cells_created = int(meta["cells_created"])  # type: ignore[call-overload]
         grid.cells_recycled = int(meta["cells_recycled"])  # type: ignore[call-overload]
         grid.gc_runs = int(meta["gc_runs"])  # type: ignore[call-overload]
+        grid.cell_ids = np.asarray(arrays["cell_ids"], dtype=np.int64).copy()
+        grid.vacant_at = np.asarray(arrays["vacant_at"], dtype=np.int64).copy()
+        if (np.diff(grid.cell_ids) <= 0).any():
+            raise ValueError("checkpointed cell ids are not strictly increasing")
+        if grid.cell_ids.size:
+            grid._n_links = grid._links_touching(grid.cell_ids)
 
-        width_vec = np.full(3, grid.cell_width)
-        ordered: list[PGridCell] = []
-        for cell_id, vacated in zip(
-            arrays["cell_ids"].tolist(), arrays["vacant_at"].tolist(), strict=True
-        ):
-            cell_coords = unpack_cell_id(cell_id)
-            lo = grid.origin + np.asarray(cell_coords, dtype=np.float64) * grid.cell_width
-            cell = PGridCell(cell_coords, lo, lo + width_vec, clock=grid._clock)
-            if vacated >= 0:
-                cell.vacant_at = int(vacated)
-                grid._vacant_cells[cell_id] = cell
-            grid.cells[cell_id] = cell
-            ordered.append(cell)
-        for src, dst in zip(
-            arrays["link_src"].tolist(), arrays["link_dst"].tolist(), strict=True
-        ):
-            ordered[src].hyperlinks.append(ordered[dst])
-        grid._n_hyperlinks = int(arrays["link_src"].size)
-        grid._reassign(centers, xlo, widths)
-        return grid
-
-    def _reassign(
-        self, centers: np.ndarray, xlo: np.ndarray, widths: np.ndarray
-    ) -> None:
-        """Recompute object assignments onto the restored cell structure.
-
-        Grouping is deterministic from the dataset, so the occupied list,
-        per-cell object order and stacked batched arrays come out exactly
-        as they were when the snapshot was taken.
-        """
-        (
-            _coords,
-            order,
-            sorted_packed,
-            starts,
-            stops,
-            min_widths,
-            max_widths,
-            center_lo,
-            center_hi,
-        ) = self._group(centers, xlo, widths)
-        expected = len(self.cells) - len(self._vacant_cells)
-        if starts.size != expected:
+        grid._assign(centers, xlo, widths)
+        expected = grid.cell_ids[grid.vacant_at < 0]
+        if expected.size != grid.occupied_ids.size:
             raise ValueError(
-                f"checkpointed grid has {expected} occupied cells but the "
-                f"dataset occupies {starts.size}; snapshot/dataset mismatch"
+                f"checkpointed grid has {expected.size} occupied cells but the "
+                f"dataset occupies {grid.occupied_ids.size}; snapshot/dataset mismatch"
             )
-        self.occupied = []
-        for k in range(starts.size):
-            start = int(starts[k])
-            cell_id = int(sorted_packed[start])
-            cell = self.cells.get(cell_id)
-            if cell is None or cell_id in self._vacant_cells:
-                raise ValueError(
-                    f"dataset occupies cell {cell_id} which the checkpointed "
-                    "grid does not hold occupied; snapshot/dataset mismatch"
-                )
-            cell.object_idx = order[start:int(stops[k])]
-            cell.min_obj_width = min_widths[k]
-            cell.max_obj_width = max_widths[k]
-            cell.center_lo = center_lo[k]
-            cell.center_hi = center_hi[k]
-            cell.vacant_at = None
-            cell.slot = k
-            self.occupied.append(cell)
-        self.cat = order
-        self.cell_starts = starts
-        self.cell_stops = stops
-        self.cell_min_width = min_widths
-        self.cell_max_width = max_widths
-        self.cell_center_lo = center_lo
-        self.cell_center_hi = center_hi
-        self._n_objects = int(order.size)
+        unknown = np.flatnonzero(_find(expected, grid.occupied_ids) < 0)
+        if unknown.size:
+            raise ValueError(
+                f"dataset occupies cell {int(grid.occupied_ids[unknown[0]])} which "
+                "the checkpointed grid does not hold occupied; snapshot/dataset mismatch"
+            )
+        return grid
 
     # ------------------------------------------------------------------
     # Accounting
@@ -527,20 +446,20 @@ class PGrid:
     def memory_footprint(self) -> int:
         """Grid footprint in bytes under the C-struct model of Figure 3.
 
-        O(1): the object and hyperlink totals are maintained incrementally
-        by :meth:`refresh` / :meth:`garbage_collect_if_needed` instead of
-        re-walking every cell on each call.
+        O(1): the object and link totals are maintained incrementally by
+        :meth:`refresh` / :meth:`garbage_collect_if_needed` instead of
+        being recounted on each call.
         """
-        n_cells = len(self.cells)
+        n_cells = self.cell_ids.size
         if n_cells == 0:
             return 0
         total = _bucket_count(n_cells) * POINTER_BYTES
         total += n_cells * CELL_RECORD_BYTES
-        total += (self._n_objects + self._n_hyperlinks) * POINTER_BYTES
+        total += (self._n_objects + self._n_links) * POINTER_BYTES
         return total
 
     def __repr__(self) -> str:
         return (
-            f"PGrid(width={self.cell_width:.3g}, cells={len(self.cells)}, "
-            f"occupied={len(self.occupied)}, vacant={self.n_vacant})"
+            f"PGrid(width={self.cell_width:.3g}, cells={self.cell_ids.size}, "
+            f"occupied={self.occupied_ids.size}, vacant={self.n_vacant})"
         )

@@ -18,8 +18,9 @@ and thrown away after its cell is processed — Algorithm 2's
 ``TGrid.initialize`` / ``TGrid.clear``.
 
 Implementation note: both planning and joining *batch across P-Grid
-cells*.  One vectorised pass plans every cell's T-Grid: it stacks the
-cells' extents and width bounds, assigns all objects to T-cells with
+cells*.  One vectorised pass plans every cell's T-Grid: it takes the
+cells' extents and width bounds as per-cell arrays (one row per P-Grid
+cell, as the P-Grid keeps them), assigns all objects to T-cells with
 per-cell key offsets (so one stable sort groups every cell's T-cells),
 and finds neighbouring T-cell pairs with one binary search per
 half-neighbourhood offset for each distinct layer triple, never once
@@ -56,9 +57,6 @@ from repro.core.cells import half_neighborhood_offsets
 from repro.geometry import self_join_groups
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
-    from repro.core.cells import PGridCell
     from repro.geometry import PairAccumulator
 
 __all__ = ["TGrid"]
@@ -88,7 +86,13 @@ class TGrid:
 
     def join_cells(
         self,
-        cells: Sequence[PGridCell],
+        cat: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        cell_lo: np.ndarray,
+        cell_hi: np.ndarray,
+        min_width: np.ndarray,
+        max_width: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         centers: np.ndarray,
@@ -99,9 +103,17 @@ class TGrid:
 
         Parameters
         ----------
-        cells:
-            Iterable of :class:`~repro.core.cells.PGridCell` (the large,
-            non-hot-spot cells of the step).
+        cat:
+            Object indices grouped by P-Grid cell (``PGrid.cat``).
+        starts, stops:
+            Each cell's ``[start, stop)`` range into ``cat``.  These and
+            the following per-cell arrays have one row per cell to join
+            (the large, non-hot-spot cells of the step).
+        cell_lo, cell_hi:
+            ``(cells, 3)`` spatial extents of the cells.
+        min_width, max_width:
+            ``(cells, 3)`` per-dimension min / max widths of each cell's
+            objects.
         lo, hi:
             Global box arrays for the whole dataset.
         centers, widths:
@@ -118,30 +130,19 @@ class TGrid:
         shortcut_pairs = 0
 
         # ---- Phase 1: plan every cell's T-Grid in one vectorised pass.
-        fallback_cells, plan = self._plan(cells, centers)
-        self.fallbacks += len(fallback_cells)
+        fallback, plan = self._plan(
+            cat, starts, stops, cell_lo, cell_hi, min_width, max_width, centers
+        )
+        self.fallbacks += int(fallback.size)
 
         # ---- Phase 2: fallback cells — plain in-cell sweeps, batched.
-        if fallback_cells:
-            fb_cat = np.concatenate([c.object_idx for c in fallback_cells])
-            fb_sizes = np.asarray(
-                [c.object_idx.size for c in fallback_cells], dtype=np.int64
-            )
-            fb_stops = np.cumsum(fb_sizes)
-            fb_starts = fb_stops - fb_sizes
+        if fallback.size:
 
             def on_fallback(left, right, _groups):
                 accumulator.extend(left, right)
 
             tests += self_join_groups(
-                lo,
-                hi,
-                fb_cat,
-                fb_starts,
-                fb_stops,
-                np.arange(fb_sizes.size, dtype=np.int64),
-                on_fallback,
-                count="x-sweep",
+                lo, hi, cat, starts, stops, fallback, on_fallback, count="x-sweep"
             )
 
         if plan is None:
@@ -190,27 +191,34 @@ class TGrid:
         return tests, shortcut_pairs
 
     def _plan(
-        self, cells: Sequence[PGridCell], centers: np.ndarray
-    ) -> tuple[list[PGridCell], tuple[np.ndarray, ...] | None]:
+        self,
+        cat: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        cell_lo: np.ndarray,
+        cell_hi: np.ndarray,
+        min_width: np.ndarray,
+        max_width: np.ndarray,
+        centers: np.ndarray,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
         """Assign the objects of all multi-member cells to T-cells at once.
 
-        Returns ``(fallback_cells, plan)``.  ``fallback_cells`` are the
-        cells over budget, in input order.  ``plan`` is ``None`` when no
-        cell gets a T-Grid, else ``(cat, starts, stops, pair_a, pair_b)``:
+        Returns ``(fallback, plan)``.  ``fallback`` holds the rows of the
+        cells over budget, ascending.  ``plan`` is ``None`` when no cell
+        gets a T-Grid, else ``(cat, starts, stops, pair_a, pair_b)``:
         object ids grouped per T-cell (x order kept within each T-cell),
         each T-cell's ``[start, stop)`` range in ``cat``, and the
         neighbouring T-cell pairs as slot indices, ordered by (P-cell,
         half-neighbourhood offset, source T-cell).
         """
-        # Gather: the only per-cell Python left.
-        cells = [cell for cell in cells if cell.object_idx.size > 1]
-        if not cells:
-            return [], None
-        sizes = np.asarray([c.object_idx.size for c in cells], dtype=np.int64)
-        cell_lo = np.asarray([c.lo for c in cells], dtype=np.float64)
-        extent = np.asarray([c.hi for c in cells], dtype=np.float64) - cell_lo
-        t_width = np.asarray([c.min_obj_width for c in cells], dtype=np.float64)
-        max_width = np.asarray([c.max_obj_width for c in cells], dtype=np.float64)
+        rows = np.flatnonzero(stops - starts > 1)
+        if not rows.size:
+            return rows, None
+        sizes = (stops - starts)[rows]
+        cell_lo = np.asarray(cell_lo, dtype=np.float64)[rows]
+        extent = np.asarray(cell_hi, dtype=np.float64)[rows] - cell_lo
+        t_width = np.asarray(min_width, dtype=np.float64)[rows]
+        max_width = np.asarray(max_width, dtype=np.float64)[rows]
 
         # Budget: decided on the float cell count, before any int64 cast,
         # so a minuscule member (huge or infinite count) takes the
@@ -220,10 +228,10 @@ class TGrid:
             over = dims_f.prod(axis=1) > np.maximum(
                 64, self.max_cells_per_object * sizes
             )
-        fallback_cells = [cell for cell, o in zip(cells, over.tolist(), strict=True) if o]
         keep = ~over
         if not keep.any():
-            return fallback_cells, None
+            return rows, None
+        first = starts[rows[keep]]
         sizes = sizes[keep]
         cell_lo = cell_lo[keep]
         t_width = t_width[keep]
@@ -235,10 +243,9 @@ class TGrid:
         # Assign: per-object T-cell keys, offset by the T-cell count of
         # the cells before, so one stable sort groups every cell's
         # T-cells in cell order and keeps the per-key x order.
-        obj = np.concatenate(
-            [c.object_idx for c, k in zip(cells, keep.tolist(), strict=True) if k]
-        )
         owner = np.repeat(np.arange(sizes.size), sizes)
+        run_base = np.cumsum(sizes) - sizes
+        obj = cat[np.arange(owner.size) - run_base[owner] + first[owner]]
         local = np.floor((centers[obj] - cell_lo[owner]) / t_width[owner])
         obj_dims = dims[owner]
         np.clip(local, 0, obj_dims - 1, out=local)
@@ -308,4 +315,4 @@ class TGrid:
             pair_b = np.concatenate(found_b)[by_rank]
         else:
             pair_a = pair_b = np.empty(0, dtype=np.int64)
-        return fallback_cells, (cat, starts, stops, pair_a, pair_b)
+        return rows[over], (cat, starts, stops, pair_a, pair_b)

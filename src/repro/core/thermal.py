@@ -5,14 +5,15 @@ substrates in this package:
 
 1. **Index building** (§4.1) — the :class:`~repro.core.pgrid.PGrid`
    assigns every object to exactly one cell by its center (no
-   replication), keeps only non-empty cells in a linked-hash table and
-   wires hyperlinks for the external join.
+   replication) and keeps only non-empty cells, in a sorted table of
+   packed cell ids; neighbour cells are found by binary search instead
+   of stored hyperlinks.
 2. **Joining** (§4.2) — per occupied cell, an *external join* against
-   the hyperlinked half neighbourhood (optimized plane sweep with the
-   enclosure shortcut) and an *internal join*: hot-spot cells emit all
-   object combinations without a single overlap test, other cells are
-   subdivided by a throw-away :class:`~repro.core.tgrid.TGrid` whose
-   cells are hot spots by construction.
+   the occupied cells of its half neighbourhood (optimized plane sweep
+   with the enclosure shortcut) and an *internal join*: hot-spot cells
+   emit all object combinations without a single overlap test, other
+   cells are subdivided by a throw-away :class:`~repro.core.tgrid.TGrid`
+   whose cells are hot spots by construction.
 3. **Index maintenance** (§4.3) — cells are recycled across time steps,
    vacant cells garbage-collected at the 35 % threshold, and the grid
    resolution is self-tuned by hill climbing on the per-step cost
@@ -36,7 +37,6 @@ import time
 
 import numpy as np
 
-from repro.core.cells import half_neighborhood_offsets, pack_cell_id_scalar
 from repro.core.pgrid import PGrid
 from repro.core.tgrid import TGrid
 from repro.core.tuning import HillClimbingTuner
@@ -61,7 +61,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from collections.abc import Mapping
 
-    from repro.core.cells import PGridCell
     from repro.datasets import SpatialDataset
     from repro.datasets.delta import MotionDelta
     from repro.engine import Executor
@@ -84,12 +83,13 @@ _OPS_RESULT = 0.05
 class TGridCellsTask(JoinTask):
     """Internal join of the dense cells through a throw-away T-Grid.
 
-    One vectorised pass plans the T-Grids of all the step's dense cells,
-    then the combined kernels join them.  The T-Grid object accumulates
-    diagnostics (``fallbacks``, ``peak_cells``) across the step, so this
-    stays one task and is not ``process_safe`` — the process executor
-    runs it inline in the parent while the pure-array tasks are out on
-    the pool.
+    Takes the dense cells as per-cell arrays, one row per cell: ranges
+    into the context's ``cat``, extents and member width bounds.  One
+    vectorised pass plans the T-Grids of all of them, then the combined
+    kernels join them.  The T-Grid object accumulates diagnostics
+    (``fallbacks``, ``peak_cells``) across the step, so this stays one
+    task and is not ``process_safe`` — the process executor runs it
+    inline in the parent while the pure-array tasks are out on the pool.
     """
 
     phase = "internal"
@@ -98,18 +98,39 @@ class TGridCellsTask(JoinTask):
     def __init__(
         self,
         tgrid: TGrid,
-        cells: list[PGridCell],
+        starts: np.ndarray,
+        stops: np.ndarray,
+        cell_lo: np.ndarray,
+        cell_hi: np.ndarray,
+        min_width: np.ndarray,
+        max_width: np.ndarray,
         centers: np.ndarray,
         widths: np.ndarray,
     ) -> None:
         self.tgrid = tgrid
-        self.cells = cells
+        self.starts = starts
+        self.stops = stops
+        self.cell_lo = cell_lo
+        self.cell_hi = cell_hi
+        self.min_width = min_width
+        self.max_width = max_width
         self.centers = centers
         self.widths = widths
 
     def run(self, ctx: Mapping[str, np.ndarray], accumulator: PairAccumulator) -> dict[str, int]:
         tests, shortcut_pairs = self.tgrid.join_cells(
-            self.cells, ctx["lo"], ctx["hi"], self.centers, self.widths, accumulator
+            ctx["cat"],
+            self.starts,
+            self.stops,
+            self.cell_lo,
+            self.cell_hi,
+            self.min_width,
+            self.max_width,
+            ctx["lo"],
+            ctx["hi"],
+            self.centers,
+            self.widths,
+            accumulator,
         )
         return {"overlap_tests": int(tests), "shortcut_pairs": int(shortcut_pairs)}
 
@@ -176,12 +197,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         and the grid coarsened just enough to fit; the tuner simply
         observes the resulting costs, so it converges within the
         quota-feasible region.
-    n_workers:
-        Back-compat worker count (§2.1: "THERMAL-JOIN ... can be
-        parallelized like the aforementioned approaches"; cell pairs are
-        independent work units).  ``n_workers > 1`` with no explicit
-        ``executor`` selects a thread executor of that size.  Results
-        and statistics are identical to the serial run.
     executor:
         Engine executor for the verify stage (see
         :class:`~repro.joins.base.SpatialJoinAlgorithm`).
@@ -204,13 +219,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         pair_maintenance: bool | None = None,
         churn_threshold: float | None = None,
         memory_quota_bytes: int | None = None,
-        n_workers: int = 1,
         executor: Executor | str | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-        if executor is None and n_workers > 1:
-            executor = f"thread:{int(n_workers)}"
         super().__init__(count_only=count_only, executor=executor)
         if memory_quota_bytes is not None and memory_quota_bytes <= 0:
             raise ValueError(
@@ -230,7 +240,6 @@ class ThermalJoin(SpatialJoinAlgorithm):
         self.enclosure_shortcut = bool(enclosure_shortcut)
         self.incremental = bool(incremental)
         self.memory_quota_bytes = memory_quota_bytes
-        self.n_workers = int(n_workers)
         if tgrid_min_objects < 2:
             raise ValueError(
                 f"tgrid_min_objects must be at least 2, got {tgrid_min_objects}"
@@ -280,8 +289,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             return None
         return {
             "cell_width": pgrid.cell_width,
-            "cells": len(pgrid.cells),
-            "occupied_cells": len(pgrid.occupied),
+            "cells": pgrid.cell_ids.size,
+            "occupied_cells": pgrid.occupied_ids.size,
             "vacant_cells": pgrid.n_vacant,
             "cells_created": pgrid.cells_created,
             "cells_recycled": pgrid.cells_recycled,
@@ -333,7 +342,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
 
         Occupied cells are bounded by both the object count and the
         number of cells covering the domain; the per-cell cost includes
-        the record and a one-layer hyperlink budget.
+        the record and a one-layer link budget.
         """
         lo_b, hi_b = dataset.bounds
         grid_cells = float(np.prod(np.ceil((hi_b - lo_b) / cell_width) + 1))
@@ -399,13 +408,13 @@ class ThermalJoin(SpatialJoinAlgorithm):
     def plan(self, dataset: SpatialDataset) -> JoinPlan:
         """Partition the step into external, hot-spot, sweep and T-Grid tasks.
 
-        The external join's hyperlinked cell pairs are split into
-        volume-balanced :class:`CellPairSweepTask` slices; hot-spot cells
-        emit through one :class:`HotCellsTask`; small non-hot cells sweep
-        through one :class:`GroupSelfJoinTask`; dense cells go through
-        one :class:`TGridCellsTask`.  The split is deterministic, so
-        every executor reproduces the serial run's pair set and
-        overlap-test total exactly.
+        The external join's neighbour cell pairs, in (slot, offset)
+        order, are split into volume-balanced :class:`CellPairSweepTask`
+        slices; hot-spot cells emit through one :class:`HotCellsTask`;
+        small non-hot cells sweep through one :class:`GroupSelfJoinTask`;
+        dense cells go through one :class:`TGridCellsTask`.  The split is
+        deterministic, so every executor reproduces the serial run's pair
+        set and overlap-test total exactly.
         """
         lo, hi = self._boxes
         pgrid = self.pgrid
@@ -421,17 +430,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
         tasks = []
         sizes = pgrid.cell_stops - pgrid.cell_starts
 
-        # ---- External join: all hyperlinked cell pairs, chunked. ----
-        pair_a = []
-        pair_b = []
-        for cell in pgrid.occupied:
-            slot = cell.slot
-            for neighbor in cell.hyperlinks:
-                if neighbor.slot >= 0:
-                    pair_a.append(slot)
-                    pair_b.append(neighbor.slot)
-        pair_a = np.asarray(pair_a, dtype=np.int64)
-        pair_b = np.asarray(pair_b, dtype=np.int64)
+        # ---- External join: all neighbour cell pairs, chunked. ----
+        pair_a, pair_b, _offsets = pgrid.neighbor_pairs(np.arange(sizes.size))
         cell_pair_joins = int(pair_a.size)
         if pair_a.size:
             weights = sizes[pair_a] * sizes[pair_b]
@@ -474,11 +474,14 @@ class ThermalJoin(SpatialJoinAlgorithm):
             tgrid_slots = np.flatnonzero(large)
             tgrid_cells = int(tgrid_slots.size)
             if tgrid_cells:
-                occupied = pgrid.occupied
                 tasks.append(
                     TGridCellsTask(
                         self.tgrid,
-                        [occupied[slot] for slot in tgrid_slots],
+                        pgrid.cell_starts[tgrid_slots],
+                        pgrid.cell_stops[tgrid_slots],
+                        *pgrid.cell_bounds(tgrid_slots),
+                        pgrid.cell_min_width[tgrid_slots],
+                        pgrid.cell_max_width[tgrid_slots],
                         dataset.centers,
                         dataset.widths,
                     )
@@ -501,8 +504,8 @@ class ThermalJoin(SpatialJoinAlgorithm):
             self.last_step_info = {
                 "resolution": self.current_resolution,
                 "cell_width": self.pgrid.cell_width,
-                "occupied_cells": len(self.pgrid.occupied),
-                "total_cells": len(self.pgrid.cells),
+                "occupied_cells": self.pgrid.occupied_ids.size,
+                "total_cells": self.pgrid.cell_ids.size,
                 "vacant_cells": self.pgrid.n_vacant,
                 "hot_spot_cells": hot_spot_cells,
                 "tgrid_cells": tgrid_cells,
@@ -528,7 +531,7 @@ class ThermalJoin(SpatialJoinAlgorithm):
         pair with a moved endpoint has centers closer than the largest
         object width per dimension, so its cells are at most
         ``pgrid.layers`` apart — exactly the neighbourhood the full
-        join's hyperlinks cover.  Three task families emit every such
+        join's cell pairs cover.  Three task families emit every such
         candidate exactly once:
 
         * moved × settled over each moved cell's full neighbourhood
@@ -567,44 +570,35 @@ class ThermalJoin(SpatialJoinAlgorithm):
         }
 
         # Enumerate candidate cell pairs around the cells holding moved
-        # objects.  Slot order and offset order are fixed, so the pair
-        # lists — and the task chunking below — are deterministic.
-        cells = pgrid.cells
-        occupied = pgrid.occupied
-        offsets = half_neighborhood_offsets(pgrid.layers)
+        # objects, in (slot, offset) order, so the pair lists — and the
+        # task chunking below — are deterministic.
         has_moved = moved_counts > 0
         has_settled = settled_counts > 0
-        ms_a: list[int] = []  # moved group × settled group
-        ms_b: list[int] = []
-        mm_a: list[int] = []  # moved group × moved group, distinct cells
-        mm_b: list[int] = []
-        for slot in np.flatnonzero(has_moved):
-            slot = int(slot)
-            cx, cy, cz = occupied[slot].coords
-            if has_settled[slot]:
-                ms_a.append(slot)
-                ms_b.append(slot)
-            for ox, oy, oz in offsets:
-                front = cells.get(pack_cell_id_scalar(cx + ox, cy + oy, cz + oz))
-                if front is not None and front.slot >= 0:
-                    if has_settled[front.slot]:
-                        ms_a.append(slot)
-                        ms_b.append(front.slot)
-                    if has_moved[front.slot]:
-                        # Unordered moved-cell pair, seen once: the back
-                        # scan of the other cell cannot re-reach it.
-                        mm_a.append(slot)
-                        mm_b.append(front.slot)
-                back = cells.get(pack_cell_id_scalar(cx - ox, cy - oy, cz - oz))
-                if back is not None and back.slot >= 0 and has_settled[back.slot]:
-                    ms_a.append(slot)
-                    ms_b.append(back.slot)
+        moved_slots = np.flatnonzero(has_moved)
+        front_a, front_b, front_k = pgrid.neighbor_pairs(moved_slots)
+        back_a, back_b, back_k = pgrid.neighbor_pairs(moved_slots, sign=-1)
+        # Moved group × settled group: the own cell, then per offset the
+        # front and the back neighbour.
+        own = moved_slots[has_settled[moved_slots]]
+        front_s = has_settled[front_b]
+        back_s = has_settled[back_b]
+        ms_a = np.concatenate([own, front_a[front_s], back_a[back_s]])
+        ms_b = np.concatenate([own, front_b[front_s], back_b[back_s]])
+        rank = np.concatenate(
+            [np.zeros(own.size, dtype=np.int64), 2 * front_k[front_s] + 1, 2 * back_k[back_s] + 2]
+        )
+        by_slot = np.lexsort((rank, ms_a))
+        ms_a = ms_a[by_slot]
+        ms_b = ms_b[by_slot]
+        # Moved group × moved group across distinct cells: each unordered
+        # pair once, from the front scan (the back scan would repeat it).
+        front_m = has_moved[front_b]
+        mm_a = front_a[front_m]
+        mm_b = front_b[front_m]
 
         tasks: list[JoinTask] = []
 
         def cross_tasks(pair_a, pair_b, b_counts, b_keys):
-            pair_a = np.asarray(pair_a, dtype=np.int64)
-            pair_b = np.asarray(pair_b, dtype=np.int64)
             if not pair_a.size:
                 return
             weights = moved_counts[pair_a] * b_counts[pair_b]
@@ -634,15 +628,15 @@ class ThermalJoin(SpatialJoinAlgorithm):
             )
 
         moved_cells = int(has_moved.sum())
-        cell_pair_joins = len(ms_a) + len(mm_a)
+        cell_pair_joins = int(ms_a.size + mm_a.size)
 
         def on_complete(results):
             self.last_step_info = {
                 "mode": "incremental",
                 "resolution": self.current_resolution,
                 "cell_width": self.pgrid.cell_width,
-                "occupied_cells": len(self.pgrid.occupied),
-                "total_cells": len(self.pgrid.cells),
+                "occupied_cells": self.pgrid.occupied_ids.size,
+                "total_cells": self.pgrid.cell_ids.size,
                 "vacant_cells": self.pgrid.n_vacant,
                 "moved_objects": delta.n_moved,
                 "moved_cells": moved_cells,
@@ -830,9 +824,10 @@ class ThermalJoin(SpatialJoinAlgorithm):
         Everything a resumed run needs to continue bit-identically: the
         tuner's climb state, the churn policy's observed estimates, the
         incremental counters, the T-Grid diagnostics, the maintained
-        pair set (packed keys) and the P-Grid *structure* (rebuilding it
-        from scratch would spike ``cells_created`` — a tuner cost input —
-        and re-wire hyperlink direction, changing overlap-test counts).
+        pair set (packed keys) and the P-Grid's cell table — ids and
+        vacancy only (rebuilding it from scratch would spike
+        ``cells_created``, a tuner cost input, and lose the vacant cells
+        that the footprint and the GC trigger count).
         """
         arrays: dict[str, np.ndarray] = {}
         meta: dict[str, Any] = {

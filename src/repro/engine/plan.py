@@ -14,7 +14,7 @@ Task types
                         cells, PBSM partitions, tree nodes).
 ``GroupCrossJoinTask``  pairs across explicit (group A, group B) lists
                         (EGO neighbour cells, octree ancestor levels).
-``CellPairSweepTask``   THERMAL-JOIN's external join over hyperlinked
+``CellPairSweepTask``   THERMAL-JOIN's external join over neighbour
                         cell pairs (optimized sweep + enclosure
                         shortcut).
 ``HotCellsTask``        combinatorial hot-spot emission (no tests).
@@ -203,7 +203,7 @@ class GroupCrossJoinTask(JoinTask):
 
 @dataclass
 class CellPairSweepTask(JoinTask):
-    """External join over a slice of hyperlinked cell pairs.
+    """External join over a slice of neighbour cell pairs.
 
     Runs the optimized plane sweep with the enclosure shortcut (the
     ``cell_pair_sweep`` kernel) over its own portion of the step's

@@ -4,7 +4,7 @@ The forward plane sweep (Preparata & Shamos [29]) is the workhorse
 comparison routine of this reproduction: the global plane-sweep baseline
 runs it over the whole dataset, PBSM runs it inside each partition, and
 THERMAL-JOIN runs it for the external join between a cell and its
-hyperlinked neighbours (Section 4.2.1 of the paper).
+half-neighbourhood cells, the paper's hyperlinks (Section 4.2.1).
 
 All routines assume their inputs are sorted ascending by the box's lower
 x bound (``lo[:, 0]``) — exactly the order Algorithm 1 establishes for

@@ -41,7 +41,7 @@ __all__ = ["Checkpoint", "CheckpointError", "CheckpointManager"]
 #: Format marker every manifest must carry.
 MANIFEST_FORMAT = "repro-checkpoint"
 #: Current checkpoint format version.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MANIFEST_RE = re.compile(r"^step-(\d{6,})\.json$")
 

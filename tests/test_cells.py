@@ -1,32 +1,21 @@
-"""Unit tests for P-Grid cell records and id packing (repro.core.cells)."""
+"""Unit tests for cell-id packing and neighbour offsets (repro.core.cells)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    PGridCell,
-    half_neighborhood_offsets,
-    pack_cell_id_scalar,
-    pack_cell_ids,
-    unpack_cell_id,
-)
+from repro.core import half_neighborhood_offsets, pack_cell_ids, unpack_cell_ids
+from repro.core.cells import COORD_BIAS, neighbor_cell_ids
 
 
 class TestPacking:
     def test_roundtrip(self):
         coords = np.array([[0, 0, 0], [1, -2, 3], [-100, 50, 7]], dtype=np.int64)
         packed = pack_cell_ids(coords)
+        assert np.array_equal(unpack_cell_ids(packed), coords)
         for k in range(coords.shape[0]):
-            assert unpack_cell_id(packed[k]) == tuple(coords[k])
-
-    def test_scalar_matches_vectorized(self):
-        rng = np.random.default_rng(0)
-        coords = rng.integers(-1000, 1000, size=(100, 3))
-        packed = pack_cell_ids(coords)
-        for k in range(100):
-            assert pack_cell_id_scalar(*coords[k]) == packed[k]
+            assert tuple(unpack_cell_ids(packed[k : k + 1])[0]) == tuple(coords[k])
 
     def test_distinct_coords_distinct_ids(self):
         rng = np.random.default_rng(1)
@@ -79,23 +68,37 @@ class TestHalfNeighborhood:
             half_neighborhood_offsets(-1)
 
 
-class TestPGridCell:
-    def test_new_cell_is_vacant(self):
-        cell = PGridCell((0, 0, 0), np.zeros(3), np.ones(3))
-        assert cell.is_vacant
-        assert cell.slot == -1
+class TestNeighborCellIds:
+    def test_matches_packing_the_shifted_coordinates(self):
+        rng = np.random.default_rng(2)
+        coords = rng.integers(-1000, 1000, size=(200, 3))
+        for offset in half_neighborhood_offsets(2):
+            for sign in (1, -1):
+                shifted = coords + sign * np.asarray(offset)
+                got = neighbor_cell_ids(coords, sign * np.asarray(offset))
+                assert np.array_equal(got, pack_cell_ids(shifted))
 
-    def test_clear_resets_assignment(self):
-        cell = PGridCell((0, 0, 0), np.zeros(3), np.ones(3))
-        cell.object_idx = np.array([1, 2], dtype=np.int64)
-        cell.slot = 5
-        assert not cell.is_vacant
-        cell.clear()
-        assert cell.is_vacant
-        assert cell.slot == -1
-        assert cell.min_obj_width is None
+    def test_offset_table_has_one_row_per_offset(self):
+        rng = np.random.default_rng(3)
+        coords = rng.integers(-1000, 1000, size=(50, 3))
+        offsets = np.asarray(half_neighborhood_offsets(1))
+        table = neighbor_cell_ids(coords, offsets[:, None])
+        assert table.shape == (13, 50)
+        for row, offset in zip(table, offsets, strict=True):
+            assert np.array_equal(row, pack_cell_ids(coords + offset))
 
-    def test_repr_counts_objects(self):
-        cell = PGridCell((1, 2, 3), np.zeros(3), np.ones(3))
-        cell.object_idx = np.arange(4)
-        assert "n=4" in repr(cell)
+    def test_off_grid_neighbours_map_to_minus_one(self):
+        edge = COORD_BIAS - 1
+        coords = np.array(
+            [[edge, 0, 0], [-COORD_BIAS, 5, 5], [0, edge, -COORD_BIAS], [3, 4, 5]],
+            dtype=np.int64,
+        )
+        up = neighbor_cell_ids(coords, np.array([1, 0, 0]))
+        assert up[0] == -1 and up[1] >= 0 and up[2] >= 0
+        down = neighbor_cell_ids(coords, np.array([-1, 0, 0]))
+        assert down[1] == -1 and down[0] >= 0
+        diagonal = neighbor_cell_ids(coords, np.array([0, 1, -1]))
+        assert diagonal[2] == -1
+        assert up[3] == pack_cell_ids(np.array([[4, 4, 5]]))[0]
+        # -1 can never match a cell: packed ids are non-negative.
+        assert (pack_cell_ids(coords) >= 0).all()

@@ -143,13 +143,6 @@ class TestResolveExecutor:
         assert isinstance(join.executor, ThreadExecutor)
         assert join.executor.n_workers == 2
 
-    def test_thermal_n_workers_maps_to_thread_executor(self):
-        from repro.core import ThermalJoin
-
-        join = ThermalJoin(n_workers=3)
-        assert isinstance(join.executor, ThreadExecutor)
-        assert join.executor.n_workers == 3
-
 
 # ----------------------------------------------------------------------
 # All algorithms × all executors against the oracle

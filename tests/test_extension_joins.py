@@ -88,7 +88,7 @@ class TestParallelThermal:
         for dataset in (uniform_small, neural_small):
             n = len(dataset)
             serial = ThermalJoin(resolution=1.0).step(dataset)
-            parallel = ThermalJoin(resolution=1.0, n_workers=4).step(dataset)
+            parallel = ThermalJoin(resolution=1.0, executor="thread:4").step(dataset)
             assert parallel.n_results == serial.n_results
             assert parallel.stats.overlap_tests == serial.stats.overlap_tests
             assert np.array_equal(
@@ -100,7 +100,7 @@ class TestParallelThermal:
         dataset, motion = make_uniform_workload(
             500, width=15.0, bounds=(np.zeros(3), np.full(3, 120.0)), seed=57
         )
-        join = ThermalJoin(resolution=1.0, n_workers=3)
+        join = ThermalJoin(resolution=1.0, executor="thread:3")
         n = len(dataset)
         for _ in range(4):
             result = join.step(dataset)
@@ -111,7 +111,7 @@ class TestParallelThermal:
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ThermalJoin(n_workers=0)
+            ThermalJoin(executor="thread:0")
 
 
 class TestMemoryQuota:

@@ -1,26 +1,83 @@
-"""Unit tests for the P-Grid (build, maintenance, GC, hyperlinks)."""
+"""Unit tests for the P-Grid (build, maintenance, GC, neighbour pairs)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import PGrid
-from repro.core.cells import pack_cell_id_scalar
+import repro.core.pgrid as pgrid_module
+from repro.core import PGrid, half_neighborhood_offsets, pack_cell_ids, unpack_cell_ids
 from repro.datasets import make_uniform_dataset
 
 
 def refresh_grid(grid, dataset):
     lo, _hi = dataset.boxes()
-    return grid.refresh(
-        dataset.centers, lo[:, 0], dataset.widths, dataset.max_width
-    )
+    grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
+    return np.arange(grid.occupied_ids.size)
 
 
 def small_dataset(n=200, width=10.0, side=100.0, seed=0):
     return make_uniform_dataset(
         n, width=width, bounds=(np.zeros(3), np.full(3, side)), seed=seed
     )
+
+
+def members(grid, slot):
+    return grid.cat[grid.cell_starts[slot] : grid.cell_stops[slot]]
+
+
+def chebyshev_pairs(ids, layers):
+    """Unordered index pairs of distinct cells at most ``layers`` apart,
+    found by walking every pair of cells (O(cells^2))."""
+    coords = unpack_cell_ids(ids).tolist()
+    pairs = set()
+    for i, ci in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            cj = coords[j]
+            if max(abs(ci[0] - cj[0]), abs(ci[1] - cj[1]), abs(ci[2] - cj[2])) <= layers:
+                pairs.add(frozenset((i, j)))
+    return pairs
+
+
+def assert_neighbor_table(grid):
+    """``neighbor_pairs`` over all slots against the naive walk: every
+    adjacent occupied pair exactly once, nothing else, each pair directed
+    along a half offset and listed in (slot, offset) order."""
+    a, b, k = grid.neighbor_pairs(np.arange(grid.occupied_ids.size))
+    got = [frozenset(pair) for pair in zip(a.tolist(), b.tolist(), strict=True)]
+    assert len(got) == len(set(got)), "cell pair listed twice"
+    assert set(got) == chebyshev_pairs(grid.occupied_ids, grid.layers)
+    offsets = half_neighborhood_offsets(grid.layers)
+    coords = unpack_cell_ids(grid.occupied_ids)
+    for slot_a, slot_b, index in zip(a.tolist(), b.tolist(), k.tolist(), strict=True):
+        assert tuple((coords[slot_b] - coords[slot_a]).tolist()) == offsets[index]
+    keys = a * len(offsets) + k
+    assert (np.diff(keys) > 0).all(), "pairs not in (slot, offset) order"
+    return a.size
+
+
+def brute_force_footprint(grid):
+    """Recompute the footprint from scratch: the object lists plus the
+    Figure 3 links, counted by the naive walk over every table cell
+    (occupied or vacant); the incrementally kept total must match it."""
+    from repro.core.pgrid import CELL_RECORD_BYTES, _bucket_count
+    from repro.joins.base import POINTER_BYTES
+
+    n_cells = grid.cell_ids.size
+    if n_cells == 0:
+        return 0
+    total = _bucket_count(n_cells) * POINTER_BYTES
+    total += n_cells * CELL_RECORD_BYTES
+    total += int((grid.cell_stops - grid.cell_starts).sum()) * POINTER_BYTES
+    total += len(chebyshev_pairs(grid.cell_ids, grid.layers)) * POINTER_BYTES
+    return total
+
+
+def vacant_ages(grid):
+    """Packed id -> age of every vacant table cell."""
+    vacant = grid.vacant_at >= 0
+    ages = grid.clock - grid.vacant_at[vacant] + 1
+    return dict(zip(grid.cell_ids[vacant].tolist(), ages.tolist(), strict=True))
 
 
 class TestConstruction:
@@ -44,32 +101,33 @@ class TestBuild:
     def test_every_object_assigned_once(self):
         ds = small_dataset(300)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        seen = np.concatenate([cell.object_idx for cell in occupied])
+        slots = refresh_grid(grid, ds)
+        seen = np.concatenate([members(grid, slot) for slot in slots])
         assert np.array_equal(np.sort(seen), np.arange(300))
 
     def test_objects_assigned_by_center(self):
         ds = small_dataset(300)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        for cell in occupied:
-            centers = ds.centers[cell.object_idx]
-            assert (centers >= cell.lo).all()
-            assert (centers < cell.hi).all()
+        slots = refresh_grid(grid, ds)
+        cell_lo, cell_hi = grid.cell_bounds(slots)
+        for slot in slots:
+            centers = ds.centers[members(grid, slot)]
+            assert (centers >= cell_lo[slot]).all()
+            assert (centers < cell_hi[slot]).all()
 
     def test_object_lists_sorted_by_x_lo(self):
         ds = small_dataset(500)
         grid = PGrid(10.0, np.zeros(3))
         lo, _hi = ds.boxes()
-        for cell in refresh_grid(grid, ds):
-            xlo = lo[cell.object_idx, 0]
+        for slot in refresh_grid(grid, ds):
+            xlo = lo[members(grid, slot), 0]
             assert (np.diff(xlo) >= 0).all()
 
     def test_only_nonempty_cells_materialized(self):
         ds = small_dataset(10, side=1000.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        assert len(grid.cells) <= 10  # far fewer than the 100^3 virtual cells
+        assert grid.cell_ids.size <= 10  # far fewer than the 100^3 virtual cells
 
     def test_cell_metadata(self):
         ds = make_uniform_dataset(
@@ -79,82 +137,103 @@ class TestBuild:
             seed=1,
         )
         grid = PGrid(15.0, np.zeros(3))
-        for cell in refresh_grid(grid, ds):
-            widths = ds.widths[cell.object_idx]
-            centers = ds.centers[cell.object_idx]
-            assert np.allclose(cell.min_obj_width, widths.min(axis=0))
-            assert np.allclose(cell.max_obj_width, widths.max(axis=0))
-            assert np.allclose(cell.center_lo, centers.min(axis=0))
-            assert np.allclose(cell.center_hi, centers.max(axis=0))
+        for slot in refresh_grid(grid, ds):
+            widths = ds.widths[members(grid, slot)]
+            centers = ds.centers[members(grid, slot)]
+            assert np.allclose(grid.cell_min_width[slot], widths.min(axis=0))
+            assert np.allclose(grid.cell_max_width[slot], widths.max(axis=0))
+            assert np.allclose(grid.cell_center_lo[slot], centers.min(axis=0))
+            assert np.allclose(grid.cell_center_hi[slot], centers.max(axis=0))
 
     def test_slots_align_with_occupied_list(self):
         ds = small_dataset(200)
         grid = PGrid(10.0, np.zeros(3))
-        occupied = refresh_grid(grid, ds)
-        for slot, cell in enumerate(occupied):
-            assert cell.slot == slot
-            start = grid.cell_starts[slot]
-            stop = grid.cell_stops[slot]
-            assert np.array_equal(grid.cat[start:stop], cell.object_idx)
+        slots = refresh_grid(grid, ds)
+        assert (np.diff(grid.occupied_ids) > 0).all()
+        assert np.array_equal(grid.cell_ids, grid.occupied_ids)  # nothing vacant yet
+        coords = np.floor(ds.centers / 10.0).astype(np.int64)
+        for slot in slots:
+            cell_of_members = pack_cell_ids(coords[members(grid, slot)])
+            assert (cell_of_members == grid.occupied_ids[slot]).all()
 
 
 class TestHyperlinks:
+    """The paper's hyperlinks, derived on demand as neighbour slot pairs."""
+
     def test_each_adjacent_pair_linked_exactly_once(self):
         ds = small_dataset(400, width=10.0, side=60.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        linked = set()
-        for cell_id, cell in grid.cells.items():
-            for neighbor in cell.hyperlinks:
-                key = frozenset((cell_id, pack_cell_id_scalar(*neighbor.coords)))
-                assert key not in linked, "cell pair linked twice"
-                linked.add(key)
-        # Every adjacent occupied pair must be covered.
-        for cell_id, cell in grid.cells.items():
-            cx, cy, cz = cell.coords
-            for other_id, other in grid.cells.items():
-                if other_id <= cell_id:
-                    continue
-                ox, oy, oz = other.coords
-                if max(abs(cx - ox), abs(cy - oy), abs(cz - oz)) <= grid.layers:
-                    assert frozenset((cell_id, other_id)) in linked
+        assert assert_neighbor_table(grid) > 0
 
     def test_links_point_to_adjacent_cells_only(self):
         ds = small_dataset(300, width=10.0, side=80.0)
         grid = PGrid(10.0, np.zeros(3))
         refresh_grid(grid, ds)
-        for cell in grid.cells.values():
-            for neighbor in cell.hyperlinks:
-                delta = np.abs(np.subtract(cell.coords, neighbor.coords))
-                assert delta.max() <= grid.layers
+        coords = unpack_cell_ids(grid.occupied_ids)
+        offsets = half_neighborhood_offsets(grid.layers)
+        slots = np.arange(grid.occupied_ids.size)
+        for sign in (1, -1):
+            a, b, k = grid.neighbor_pairs(slots, sign=sign)
+            assert a.size
+            delta = coords[b] - coords[a]
+            assert np.abs(delta).max() <= grid.layers
+            assert np.array_equal(delta, sign * np.asarray(offsets)[k])
 
     def test_multiple_layers_when_cells_finer_than_objects(self):
         ds = small_dataset(300, width=20.0, side=80.0)
         grid = PGrid(10.0, np.zeros(3))  # cell width = half the object width
         refresh_grid(grid, ds)
         assert grid.layers == 2
+        assert_neighbor_table(grid)
 
     def test_incremental_new_cells_get_links(self):
         ds = small_dataset(300, width=10.0, side=60.0, seed=2)
-        grid = PGrid(10.0, np.zeros(3))
+        grid = PGrid(10.0, np.zeros(3), gc_threshold=1.0)
         refresh_grid(grid, ds)
-        # Move everything, creating new cells next to old ones.
+        # Move everything, creating new cells next to recycled ones.
         ds.translate(np.full((300, 3), 7.0))
         refresh_grid(grid, ds)
-        linked = set()
-        for cell_id, cell in grid.cells.items():
-            for neighbor in cell.hyperlinks:
-                key = frozenset((cell_id, pack_cell_id_scalar(*neighbor.coords)))
-                assert key not in linked
-                linked.add(key)
-        for cell_id, cell in grid.cells.items():
-            cx, cy, cz = cell.coords
-            for other_id, other in grid.cells.items():
-                if other_id <= cell_id:
-                    continue
-                ox, oy, oz = other.coords
-                if max(abs(cx - ox), abs(cy - oy), abs(cz - oz)) <= grid.layers:
-                    assert frozenset((cell_id, other_id)) in linked
+        assert grid.cells_recycled > 0 and grid.n_vacant > 0
+        assert_neighbor_table(grid)
+        assert grid.memory_footprint() == brute_force_footprint(grid)
+
+    def test_subset_pairs_in_both_directions_match_the_walk(self):
+        ds = small_dataset(400, width=10.0, side=60.0, seed=3)
+        grid = PGrid(10.0, np.zeros(3))
+        refresh_grid(grid, ds)
+        slots = np.arange(0, grid.occupied_ids.size, 3)
+        offsets = half_neighborhood_offsets(grid.layers)
+        coords = unpack_cell_ids(grid.occupied_ids).tolist()
+        for sign in (1, -1):
+            expected = []
+            for slot in slots.tolist():
+                for index, offset in enumerate(offsets):
+                    target = [coords[slot][d] + sign * offset[d] for d in range(3)]
+                    if target in coords:
+                        expected.append((slot, coords.index(target), index))
+            a, b, k = grid.neighbor_pairs(slots, sign=sign)
+            got = list(zip(a.tolist(), b.tolist(), k.tolist(), strict=True))
+            assert got == expected
+
+
+    def test_lookups_split_into_blocks_give_the_same_answer(self, monkeypatch):
+        # A fine grid's neighbour lookups run in bounded blocks of cells;
+        # pairs, their order and the link count must not depend on it.
+        ds = small_dataset(300, width=10.0, side=60.0, seed=4)
+        grid = PGrid(5.0, np.zeros(3), gc_threshold=1.0)  # two layers
+        refresh_grid(grid, ds)
+        ds.translate(np.full((300, 3), 6.0))
+        refresh_grid(grid, ds)
+        slots = np.arange(grid.occupied_ids.size)
+        whole = [grid.neighbor_pairs(slots, sign) for sign in (1, -1)]
+        links = grid._n_links
+        monkeypatch.setattr(pgrid_module, "_BATCH", 100)  # one or two cells a block
+        for sign, want in zip((1, -1), whole, strict=True):
+            for got, expected in zip(grid.neighbor_pairs(slots, sign), want, strict=True):
+                assert np.array_equal(got, expected)
+        assert grid._links_touching(grid.cell_ids) == links
+        assert grid.memory_footprint() == brute_force_footprint(grid)
 
 
 class TestIncrementalMaintenance:
@@ -171,19 +250,18 @@ class TestIncrementalMaintenance:
         ds = small_dataset(50, width=5.0, side=30.0, seed=3)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
         refresh_grid(grid, ds)
-        n_before = len(grid.cells)
+        n_before = grid.cell_ids.size
         ds.translate(np.full((50, 3), 11.0))  # everyone moves 2+ cells
         refresh_grid(grid, ds)
         assert grid.n_vacant > 0
-        assert len(grid.cells) >= n_before  # vacants kept (GC off)
-        ages = [cell.age for cell in grid.cells.values() if cell.is_vacant]
-        assert all(age >= 1 for age in ages)
+        assert grid.cell_ids.size >= n_before  # vacants kept (GC off)
+        assert all(age >= 1 for age in vacant_ages(grid).values())
 
     def test_vacant_cell_reused_on_return(self):
         ds = small_dataset(50, width=5.0, side=30.0, seed=4)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.99)
         refresh_grid(grid, ds)
-        ids_before = set(grid.cells)
+        ids_before = set(grid.cell_ids.tolist())
         shift = np.full((50, 3), 11.0)
         ds.translate(shift)
         refresh_grid(grid, ds)
@@ -191,7 +269,7 @@ class TestIncrementalMaintenance:
         ds.translate(-shift)  # everyone returns home
         refresh_grid(grid, ds)
         assert grid.cells_created == created_mid  # nothing new created
-        assert set(grid.cells) >= ids_before
+        assert set(grid.cell_ids.tolist()) >= ids_before
 
     def test_layer_change_forces_rebuild(self):
         ds = small_dataset(100, width=10.0)
@@ -203,6 +281,48 @@ class TestIncrementalMaintenance:
         wide = np.full_like(ds.widths, 20.0)
         grid.refresh(ds.centers, lo[:, 0], wide, 20.0)
         assert grid.layers == 2
+        assert grid.memory_footprint() == brute_force_footprint(grid)
+
+
+class TestAges:
+    """Cell age (§4.3.1): 0 while occupied, 1 on the vacating refresh,
+    +1 per refresh spent vacant; recycling makes the cell occupied again."""
+
+    def test_new_cells_are_occupied(self):
+        ds = small_dataset(100)
+        grid = PGrid(10.0, np.zeros(3))
+        refresh_grid(grid, ds)
+        assert grid.clock == 1
+        assert (grid.vacant_at == -1).all()
+        assert grid.n_vacant == 0
+
+    def test_vacating_then_recycling(self):
+        ds = small_dataset(50, width=5.0, side=30.0, seed=8)
+        grid = PGrid(5.0, np.zeros(3), gc_threshold=1.0)
+        refresh_grid(grid, ds)
+        home = set(grid.occupied_ids.tolist())
+        shift = np.full((50, 3), 11.0)
+        ds.translate(shift)
+        refresh_grid(grid, ds)
+        ages = vacant_ages(grid)
+        assert set(ages) == home - set(grid.occupied_ids.tolist())
+        assert set(ages.values()) == {1}
+        assert (grid.vacant_at[grid.vacant_at >= 0] == grid.clock).all()
+        recycled_before = grid.cells_recycled
+        ds.translate(-shift)
+        refresh_grid(grid, ds)
+        assert grid.cells_recycled - recycled_before == len(home)
+        back = np.searchsorted(grid.cell_ids, sorted(home))
+        assert (grid.vacant_at[back] == -1).all()
+
+    def test_repr_counts_cells(self):
+        ds = small_dataset(50, width=5.0, side=30.0, seed=9)
+        grid = PGrid(5.0, np.zeros(3), gc_threshold=1.0)
+        refresh_grid(grid, ds)
+        text = repr(grid)
+        assert f"cells={grid.cell_ids.size}" in text
+        assert f"occupied={grid.occupied_ids.size}" in text
+        assert "vacant=0" in text
 
 
 class TestGarbageCollection:
@@ -216,18 +336,20 @@ class TestGarbageCollection:
         ds = small_dataset(30, width=5.0, side=30.0, seed=5)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         self._scatter(grid, ds, 10)
-        total = len(grid.cells)
+        total = grid.cell_ids.size
         assert grid.n_vacant <= 0.35 * total + 1
         assert grid.gc_runs > 0
 
     def test_gc_dissolves_stale_hyperlinks(self):
+        # The link count drops every link to a collected cell: it equals
+        # a fresh count over the surviving table.
         ds = small_dataset(30, width=5.0, side=30.0, seed=6)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         self._scatter(grid, ds, 10)
-        live = set(map(id, grid.cells.values()))
-        for cell in grid.cells.values():
-            for neighbor in cell.hyperlinks:
-                assert id(neighbor) in live
+        assert grid.gc_runs > 0
+        assert grid.vacant_at.size == grid.cell_ids.size
+        assert np.isin(grid.occupied_ids, grid.cell_ids).all()
+        assert grid._n_links == len(chebyshev_pairs(grid.cell_ids, grid.layers))
 
     def test_high_threshold_never_collects(self):
         ds = small_dataset(30, width=5.0, side=30.0, seed=7)
@@ -258,26 +380,8 @@ class TestFootprint:
         assert fine.memory_footprint() > coarse.memory_footprint()
 
 
-def brute_force_footprint(grid):
-    """Recompute the footprint by walking every cell (the pre-incremental
-    definition); the O(1) incremental version must match it exactly."""
-    from repro.core.pgrid import CELL_RECORD_BYTES, _bucket_count
-    from repro.joins.base import POINTER_BYTES
-
-    n_cells = len(grid.cells)
-    if n_cells == 0:
-        return 0
-    total = _bucket_count(n_cells) * POINTER_BYTES
-    total += n_cells * CELL_RECORD_BYTES
-    for cell in grid.cells.values():
-        if cell.object_idx is not None:
-            total += cell.object_idx.size * POINTER_BYTES
-        total += len(cell.hyperlinks) * POINTER_BYTES
-    return total
-
-
 class TestIncrementalAccounting:
-    """The vacant-cell set and O(1) footprint must track the cell walk."""
+    """The vacancy table and O(1) footprint must track a from-scratch count."""
 
     def _drift(self, grid, ds, steps, seed=13):
         rng = np.random.default_rng(seed)
@@ -304,10 +408,8 @@ class TestIncrementalAccounting:
         ds = small_dataset(40, width=5.0, side=30.0, seed=14)
         grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
         for _ in self._drift(grid, ds, 10):
-            walked = {
-                cell_id for cell_id, cell in grid.cells.items() if cell.is_vacant
-            }
-            assert set(grid._vacant_cells) == walked
+            walked = set(grid.cell_ids.tolist()) - set(grid.occupied_ids.tolist())
+            assert set(vacant_ages(grid)) == walked
             assert grid.n_vacant == len(walked)
 
     def test_vacant_ages_advance_without_per_cell_touch(self):
@@ -317,13 +419,69 @@ class TestIncrementalAccounting:
         shift = np.full((50, 3), 11.0)
         ds.translate(shift)
         refresh_grid(grid, ds)
-        first = {id(c): c.age for c in grid.cells.values() if c.is_vacant}
+        first = vacant_ages(grid)
         assert first and all(age == 1 for age in first.values())
         ds.translate(shift)
         refresh_grid(grid, ds)
-        for cell in grid.cells.values():
-            if id(cell) in first and cell.is_vacant:
-                assert cell.age == first[id(cell)] + 1
+        later = vacant_ages(grid)
+        for cell_id, age in first.items():
+            if cell_id in later:
+                assert later[cell_id] == age + 1
+
+
+class TestCheckpoint:
+    def _drifted(self):
+        ds = small_dataset(60, width=5.0, side=30.0, seed=21)
+        grid = PGrid(5.0, np.zeros(3), gc_threshold=0.35)
+        rng = np.random.default_rng(22)
+        while grid.gc_runs == 0 or grid.n_vacant == 0:
+            ds.update_positions(rng.uniform(0, 30.0, size=ds.centers.shape))
+            refresh_grid(grid, ds)
+        return ds, grid, rng
+
+    def _restore(self, grid, ds):
+        arrays, meta = grid.snapshot_state()
+        lo, _hi = ds.boxes()
+        return PGrid.from_state(arrays, meta, ds.centers, lo[:, 0], ds.widths)
+
+    def test_round_trip_after_gc(self):
+        ds, grid, rng = self._drifted()
+        restored = self._restore(grid, ds)
+        slots = np.arange(grid.occupied_ids.size)
+        for sign in (1, -1):
+            pairs = zip(
+                restored.neighbor_pairs(slots, sign), grid.neighbor_pairs(slots, sign),
+                strict=True,
+            )
+            for got, want in pairs:
+                assert np.array_equal(got, want)
+        assert restored.memory_footprint() == grid.memory_footprint()
+        assert restored.n_vacant == grid.n_vacant
+        for name in ("cells_created", "cells_recycled", "gc_runs", "clock", "layers"):
+            assert getattr(restored, name) == getattr(grid, name), name
+        for name in ("cell_ids", "vacant_at", "occupied_ids", "cat", "cell_starts"):
+            assert np.array_equal(getattr(restored, name), getattr(grid, name)), name
+        # Both grids evolve identically from here on.
+        for _ in range(4):
+            ds.update_positions(rng.uniform(0, 30.0, size=ds.centers.shape))
+            refresh_grid(grid, ds)
+            refresh_grid(restored, ds)
+            assert restored.memory_footprint() == grid.memory_footprint()
+            assert np.array_equal(restored.vacant_at, grid.vacant_at)
+            assert restored.gc_runs == grid.gc_runs
+
+    def test_snapshot_holds_only_the_table(self):
+        _ds, grid, _rng = self._drifted()
+        arrays, _meta = grid.snapshot_state()
+        assert set(arrays) == {"cell_ids", "vacant_at"}
+
+    def test_restore_rejects_a_different_dataset(self):
+        ds, grid, rng = self._drifted()
+        arrays, meta = grid.snapshot_state()
+        ds.update_positions(rng.uniform(0, 30.0, size=ds.centers.shape))
+        lo, _hi = ds.boxes()
+        with pytest.raises(ValueError, match="snapshot/dataset mismatch"):
+            PGrid.from_state(arrays, meta, ds.centers, lo[:, 0], ds.widths)
 
 
 class TestClear:
@@ -347,8 +505,9 @@ class TestClear:
             "cell_center_hi",
         ):
             assert getattr(grid, name) is None, name
-        assert grid.cells == {}
-        assert grid.occupied == []
+        assert grid.cell_ids.size == 0
+        assert grid.vacant_at.size == 0
+        assert grid.occupied_ids.size == 0
         assert grid.n_vacant == 0
         assert grid.memory_footprint() == 0
 

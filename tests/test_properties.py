@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HillClimbingTuner, PGrid, ThermalJoin, pack_cell_ids, unpack_cell_id
+from repro.core import HillClimbingTuner, PGrid, ThermalJoin, pack_cell_ids, unpack_cell_ids
 from repro.datasets import SpatialDataset
 from repro.geometry import (
     brute_force_pairs,
@@ -133,12 +133,12 @@ class TestHotSpotInvariant:
         lo, hi = dataset.boxes()
         grid = PGrid(resolution * dataset.max_width, dataset.bounds[0])
         grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-        for cell in grid.occupied:
-            members = cell.object_idx
+        for slot in range(grid.occupied_ids.size):
+            members = grid.cat[grid.cell_starts[slot] : grid.cell_stops[slot]]
             if members.size < 2:
                 continue
-            spread = cell.center_hi - cell.center_lo
-            if not (spread < cell.min_obj_width).all():
+            spread = grid.cell_center_hi[slot] - grid.cell_center_lo[slot]
+            if not (spread < grid.cell_min_width[slot]).all():
                 continue
             for a in range(members.size):
                 for b in range(a + 1, members.size):
@@ -153,7 +153,12 @@ class TestHotSpotInvariant:
         lo, _hi = dataset.boxes()
         grid = PGrid(dataset.max_width, dataset.bounds[0])
         grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-        seen = np.concatenate([cell.object_idx for cell in grid.occupied])
+        seen = np.concatenate(
+            [
+                grid.cat[start:stop]
+                for start, stop in zip(grid.cell_starts, grid.cell_stops, strict=True)
+            ]
+        )
         assert np.array_equal(np.sort(seen), np.arange(len(dataset)))
 
 
@@ -176,8 +181,9 @@ class TestEncodings:
     def test_cell_id_roundtrip(self, coords):
         arr = np.asarray(coords, dtype=np.int64)
         packed = pack_cell_ids(arr)
+        assert np.array_equal(unpack_cell_ids(packed), arr)
         for k in range(arr.shape[0]):
-            assert unpack_cell_id(packed[k]) == tuple(arr[k])
+            assert tuple(unpack_cell_ids(packed[k : k + 1])[0]) == tuple(arr[k])
 
     @given(
         st.integers(min_value=2, max_value=500),

@@ -161,7 +161,7 @@ class TestMovingJoins:
             centers.copy(), width, bounds=(np.zeros(3), np.full(3, 60.0))
         )
         serial = ThermalJoin(resolution=1.0)
-        threaded = ThermalJoin(resolution=1.0, n_workers=workers)
+        threaded = ThermalJoin(resolution=1.0, executor=f"thread:{workers}")
         n = len(serial_ds)
         for move in moves:
             a = serial.step(serial_ds)

@@ -33,6 +33,7 @@ from repro.engine.faults import (
 from repro.recovery import (
     CheckpointError,
     CheckpointManager,
+    FORMAT_VERSION,
     RecoveryMetrics,
     atomic_write_bytes,
     restore_dataset,
@@ -166,7 +167,7 @@ class TestCheckpointManager:
         self._write_one(tmp_path, step=1)
         manifest = json.loads((tmp_path / "step-000001.json").read_text())
         assert manifest["format"] == "repro-checkpoint"
-        assert manifest["version"] == 1
+        assert manifest["version"] == FORMAT_VERSION
         assert manifest["payload"] == "step-000001.npz"
         entry = manifest["arrays"]["data"]
         assert set(entry) == {"sha256", "shape", "dtype"}
@@ -227,6 +228,21 @@ class TestCheckpointManager:
         (tmp_path / "step-000000.json").write_text('{"foo": 1}')
         with pytest.raises(CheckpointError):
             manager.load(tmp_path / "step-000000.json")
+
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        # Version 1 stored the P-Grid's hyperlink edges; a version-2
+        # reader must refuse it by name and fall back past it.
+        manager = CheckpointManager(tmp_path)
+        manager.write(0, {"data": np.arange(4)}, {})
+        manager.write(1, {"pgrid/link_src": np.arange(4)}, {})
+        old = tmp_path / "step-000001.json"
+        manifest = json.loads(old.read_text())
+        manifest["version"] = 1
+        old.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="unsupported format version 1"):
+            manager.load(old)
+        checkpoint, skipped = manager.load_latest()
+        assert (checkpoint.step, skipped) == (0, 1)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import repro.core.tgrid as tgrid_module
 from repro.core import PGrid, TGrid, ThermalJoin
 from repro.core.celljoin import emit_hot_cells_batched, join_cell_pairs_batched
-from repro.core.cells import PGridCell, half_neighborhood_offsets
+from repro.core.cells import half_neighborhood_offsets
 from repro.datasets import SpatialDataset
 from repro.datasets.motion import RandomTranslation
 from repro.geometry import (
@@ -24,20 +25,57 @@ from repro.geometry import (
 from repro.joins import NestedLoopJoin
 
 
-def build_cells(dataset, resolution=2.0):
-    """Build a coarse P-Grid and return its multi-member cells."""
+class Cells(NamedTuple):
+    """The per-cell arrays ``TGrid.join_cells`` takes, one row per cell."""
+
+    cat: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    min_width: np.ndarray
+    max_width: np.ndarray
+
+    def take(self, rows):
+        return Cells(self.cat, *(array[rows] for array in self[1:]))
+
+    def members(self, row):
+        return self.cat[self.starts[row] : self.stops[row]]
+
+
+def grid_cells(grid, slots):
+    """The rows of the P-Grid's occupied ``slots``."""
+    cell_lo, cell_hi = grid.cell_bounds(slots)
+    return Cells(
+        grid.cat,
+        grid.cell_starts[slots],
+        grid.cell_stops[slots],
+        cell_lo,
+        cell_hi,
+        grid.cell_min_width[slots],
+        grid.cell_max_width[slots],
+    )
+
+
+def build_grid(dataset, resolution=2.0):
     lo, _hi = dataset.boxes()
     grid = PGrid(resolution * dataset.max_width, dataset.bounds[0])
     grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-    return [cell for cell in grid.occupied if cell.object_idx.size > 1]
+    return grid
+
+
+def build_cells(dataset, resolution=2.0):
+    """Build a coarse P-Grid and return its multi-member cells."""
+    grid = build_grid(dataset, resolution)
+    return grid_cells(grid, np.flatnonzero(grid.cell_stops - grid.cell_starts > 1))
 
 
 def naive_internal_pairs(dataset, cells):
     """Oracle: all overlapping pairs *within* each cell."""
     lo, hi = dataset.boxes()
     expected = set()
-    for cell in cells:
-        members = cell.object_idx
+    for row in range(cells.starts.size):
+        members = cells.members(row)
         for a in range(members.size):
             for b in range(a + 1, members.size):
                 i, j = int(members[a]), int(members[b])
@@ -46,7 +84,10 @@ def naive_internal_pairs(dataset, cells):
     return expected
 
 
-def reference_join_cells(tgrid, cells, lo, hi, centers, widths, accumulator):
+def reference_join_cells(
+    tgrid, cat, starts, stops, cell_lo, cell_hi, min_width, max_width,
+    lo, hi, centers, widths, accumulator,
+):
     """Oracle: ``TGrid.join_cells`` as it was, planning one cell at a time.
 
     Phase 1 assigns each cell's objects to T-cells and searches each
@@ -62,25 +103,25 @@ def reference_join_cells(tgrid, cells, lo, hi, centers, widths, accumulator):
     stops_parts = []
     pair_a = []
     pair_b = []
-    fallback_slots = []
+    fallback_members = []
     position = 0
     slot_base = 0
 
-    for cell in cells:
-        obj = cell.object_idx
+    for row in range(starts.size):
+        obj = cat[starts[row] : stops[row]]
         k = obj.size
         if k < 2:
             continue
-        t_width = np.asarray(cell.min_obj_width, dtype=np.float64)
-        extent = cell.hi - cell.lo
+        t_width = np.asarray(min_width[row], dtype=np.float64)
+        extent = cell_hi[row] - cell_lo[row]
         dims = np.maximum(np.ceil(extent / t_width - 1e-9).astype(np.int64), 1)
         n_cells = int(dims.prod())
         if n_cells > max(64, tgrid.max_cells_per_object * k):
             tgrid.fallbacks += 1
-            fallback_slots.append(cell)
+            fallback_members.append(obj)
             continue
 
-        local = np.floor((centers[obj] - cell.lo) / t_width).astype(np.int64)
+        local = np.floor((centers[obj] - cell_lo[row]) / t_width).astype(np.int64)
         np.clip(local, 0, dims - 1, out=local)
         keys = (local[:, 0] * dims[1] + local[:, 1]) * dims[2] + local[:, 2]
         order = np.argsort(keys, kind="stable")
@@ -101,7 +142,7 @@ def reference_join_cells(tgrid, cells, lo, hi, centers, widths, accumulator):
                     max(
                         1,
                         math.ceil(
-                            float(cell.max_obj_width[d]) / float(t_width[d]) - 1e-9
+                            float(max_width[row][d]) / float(t_width[d]) - 1e-9
                         ),
                     )
                     for d in range(3)
@@ -141,9 +182,9 @@ def reference_join_cells(tgrid, cells, lo, hi, centers, widths, accumulator):
     def on_sweep(left, right, _groups):
         accumulator.extend(left, right)
 
-    if fallback_slots:
-        fb_cat = np.concatenate([c.object_idx for c in fallback_slots])
-        fb_sizes = np.asarray([c.object_idx.size for c in fallback_slots], dtype=np.int64)
+    if fallback_members:
+        fb_cat = np.concatenate(fallback_members)
+        fb_sizes = np.asarray([obj.size for obj in fallback_members], dtype=np.int64)
         fb_stops = np.cumsum(fb_sizes)
         fb_starts = fb_stops - fb_sizes
         tests += self_join_groups(
@@ -197,7 +238,7 @@ class TestJoinCells:
         assert cells, "fixture produced no multi-member cells"
         lo, hi = dataset.boxes()
         acc = PairAccumulator()
-        TGrid().join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+        TGrid().join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc)
         n = len(dataset)
         got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
         assert got == naive_internal_pairs(dataset, cells)
@@ -207,7 +248,7 @@ class TestJoinCells:
         cells = build_cells(dataset)
         lo, hi = dataset.boxes()
         acc = PairAccumulator()
-        TGrid().join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+        TGrid().join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc)
         i_idx, j_idx = acc.as_arrays()
         n = len(dataset)
         keys = pack_pairs(i_idx, j_idx, n)
@@ -227,7 +268,7 @@ class TestJoinCells:
         lo, hi = dataset.boxes()
         tgrid = TGrid(max_cells_per_object=4)
         acc = PairAccumulator()
-        tgrid.join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+        tgrid.join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc)
         assert tgrid.fallbacks > 0
         n = len(dataset)
         got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
@@ -238,22 +279,21 @@ class TestJoinCells:
         cells = build_cells(dataset)
         lo, hi = dataset.boxes()
         tgrid = TGrid()
-        tgrid.join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc := PairAccumulator())
+        tgrid.join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc := PairAccumulator())
         assert tgrid.peak_cells > 0
         assert len(acc) >= 0
 
     def test_single_member_cells_skipped(self):
         dataset = varied_dataset(n=12, seed=5, side=200.0)
-        lo, _hi = dataset.boxes()
-        grid = PGrid(2.0 * dataset.max_width, dataset.bounds[0])
-        grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
+        grid = build_grid(dataset)
+        cells = grid_cells(grid, np.arange(grid.occupied_ids.size))
         lo, hi = dataset.boxes()
         acc = PairAccumulator()
         tests, shortcuts = TGrid().join_cells(
-            grid.occupied, lo, hi, dataset.centers, dataset.widths, acc
+            *cells, lo, hi, dataset.centers, dataset.widths, acc
         )
         # Sparse layout: nothing shares a cell, nothing to join.
-        expected = naive_internal_pairs(dataset, grid.occupied)
+        expected = naive_internal_pairs(dataset, cells)
         n = len(dataset)
         got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
         assert got == expected
@@ -271,7 +311,7 @@ class TestJoinCells:
             acc = PairAccumulator(count_only=True)
             runs.append(
                 TGrid().join_cells(
-                    cells, lo, hi, dataset.centers, dataset.widths, acc
+                    *cells, lo, hi, dataset.centers, dataset.widths, acc
                 )
             )
         assert runs[0] == runs[1]
@@ -292,9 +332,9 @@ def run_join(join_cells, cells, dataset, max_cells_per_object=16):
     lo, hi = dataset.boxes()
     tgrid = TGrid(max_cells_per_object=max_cells_per_object)
     outcome = []
-    for batch in (cells, cells[::2]):
+    for batch in (cells, cells.take(slice(None, None, 2))):
         acc = PairAccumulator()
-        counts = join_cells(tgrid, batch, lo, hi, dataset.centers, dataset.widths, acc)
+        counts = join_cells(tgrid, *batch, lo, hi, dataset.centers, dataset.widths, acc)
         left, right = acc.as_arrays()
         outcome.append(
             (counts, left.tolist(), right.tolist(), tgrid.fallbacks, tgrid.peak_cells)
@@ -377,18 +417,22 @@ def lattice_cells():
         centers, widths, bounds=(np.zeros(3), np.array([8.0 * n_cells, 8.0, 8.0]))
     )
     box_lo, _box_hi = dataset.boxes()
-    cells = []
+    members = []
     for c in range(n_cells):
         obj = np.arange(c * per_cell, (c + 1) * per_cell, dtype=np.int64)
-        obj = obj[np.argsort(box_lo[obj, 0], kind="stable")]
-        lo = np.array([8.0 * c, 0.0, 0.0])
-        cell = PGridCell((c, 0, 0), lo, lo + 8.0)
-        cell.object_idx = obj
-        cell.min_obj_width = widths[obj].min(axis=0)
-        cell.max_obj_width = widths[obj].max(axis=0)
-        cell.center_lo = centers[obj].min(axis=0)
-        cell.center_hi = centers[obj].max(axis=0)
-        cells.append(cell)
+        members.append(obj[np.argsort(box_lo[obj, 0], kind="stable")])
+    cell_lo = np.column_stack(
+        [8.0 * np.arange(n_cells), np.zeros(n_cells), np.zeros(n_cells)]
+    )
+    cells = Cells(
+        np.concatenate(members),
+        np.arange(n_cells, dtype=np.int64) * per_cell,
+        np.arange(1, n_cells + 1, dtype=np.int64) * per_cell,
+        cell_lo,
+        cell_lo + 8.0,
+        np.asarray([widths[obj].min(axis=0) for obj in members]),
+        np.asarray([widths[obj].max(axis=0) for obj in members]),
+    )
     return dataset, cells
 
 
@@ -420,20 +464,20 @@ class TestMatchesPerCellReference:
         cells = build_cells(dataset, resolution=1.0)
         outcome = assert_matches_reference(cells, dataset, max_cells_per_object=4)
         _counts, _left, _right, fallbacks, peak_cells = outcome[0]
-        assert 0 < fallbacks < len(cells)
+        assert 0 < fallbacks < cells.starts.size
         assert peak_cells > 0
 
     def test_single_member_and_empty_cell_lists(self):
         dataset = varied_dataset(n=400, seed=15, side=120.0)
-        lo, _hi = dataset.boxes()
-        grid = PGrid(2.0 * dataset.max_width, dataset.bounds[0])
-        grid.refresh(dataset.centers, lo[:, 0], dataset.widths, dataset.max_width)
-        sizes = [cell.object_idx.size for cell in grid.occupied]
+        grid = build_grid(dataset)
+        cells = grid_cells(grid, np.arange(grid.occupied_ids.size))
+        sizes = cells.stops - cells.starts
         assert 1 in sizes and max(sizes) > 1
-        assert_matches_reference(list(grid.occupied), dataset)
-        singles = [cell for cell in grid.occupied if cell.object_idx.size == 1]
+        assert_matches_reference(cells, dataset)
+        singles = cells.take(sizes == 1)
         assert run_join(TGrid.join_cells, singles, dataset) == [((0, 0), [], [], 0, 0)] * 2
-        assert run_join(TGrid.join_cells, [], dataset) == [((0, 0), [], [], 0, 0)] * 2
+        empty = cells.take(np.empty(0, dtype=np.int64))
+        assert run_join(TGrid.join_cells, empty, dataset) == [((0, 0), [], [], 0, 0)] * 2
 
     def test_centers_on_tcell_edges_and_upper_face(self):
         dataset, cells = lattice_cells()
@@ -456,11 +500,11 @@ class TestPlannerPins:
         centers = rng.uniform(0.0, 60.0, size=(n, 3))
         dataset = SpatialDataset(centers, 1.5, bounds=(np.zeros(3), np.full(3, 60.0)))
         cells = build_cells(dataset, resolution=2.0)
-        assert len(cells) >= 300
+        assert cells.starts.size >= 300
         calls = record_offset_calls(monkeypatch)
         lo, hi = dataset.boxes()
         acc = PairAccumulator()
-        TGrid().join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+        TGrid().join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc)
         assert calls == [(1, 1, 1)]
         got = set(zip(*(a.tolist() for a in unique_pairs(*acc.as_arrays(), n)), strict=True))
         assert got == naive_internal_pairs(dataset, cells)
@@ -520,7 +564,7 @@ class TestBudgetOverflow:
             lo, hi = dataset.boxes()
             tgrid = TGrid()
             acc = PairAccumulator()
-            tgrid.join_cells(cells, lo, hi, dataset.centers, dataset.widths, acc)
+            tgrid.join_cells(*cells, lo, hi, dataset.centers, dataset.widths, acc)
             join = ThermalJoin(resolution=3.0, tgrid_min_objects=2)
             got_pairs = join.join_pairs(dataset)
             expected_pairs = NestedLoopJoin().join_pairs(dataset)

@@ -14,6 +14,7 @@ from repro.datasets import (
     make_uniform_workload,
 )
 from repro.geometry import brute_force_pairs, pack_pairs, unique_pairs
+from repro.joins import NestedLoopJoin
 from tests.conftest import assert_matches_oracle
 
 
@@ -159,6 +160,36 @@ class TestMaintenance:
             join.step(dataset)
             motion.step(dataset)
         assert join.pgrid.gc_runs > 0
+
+
+class TestPackableEdge:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_cells_at_both_ends_of_the_packable_range(self, axis):
+        # Cells 0 and 2^20 - 1 along one axis: the last packable
+        # coordinate.  Their outward neighbours lie off the grid and must
+        # simply be missing, on the full step and on the delta step alike.
+        centers = np.full((4, 3), 0.5)
+        centers[:, axis] = [0.5, 1.2, 1048575.5, 1048575.9]
+        dataset = SpatialDataset(centers, 1.0)
+        n = len(dataset)
+        join = ThermalJoin(resolution=1.0, pair_maintenance=True, churn_threshold=1.0)
+
+        def expected_keys():
+            return pack_pairs(*unique_pairs(*NestedLoopJoin().join_pairs(dataset), n), n)
+
+        full = join.step(dataset)
+        assert join.last_step_info["occupied_cells"] == 3
+        assert np.array_equal(pack_pairs(*unique_pairs(*full.pairs, n), n), expected_keys())
+        assert full.n_results == 2
+
+        before = dataset.centers.copy()
+        dataset.centers[3, axis] = 1048575.2
+        dataset.centers[1, axis] = 0.9
+        delta = dataset.commit_motion(before)
+        result = join.step_delta(dataset, delta)
+        assert join.last_step_info["mode"] == "incremental"
+        assert np.array_equal(pack_pairs(*unique_pairs(*result.pairs, n), n), expected_keys())
+        assert result.n_results == 2
 
 
 class TestConfiguration:
